@@ -14,21 +14,18 @@ from .linalg import (
     Subspace,
     Vector,
     quotient_basis,
-    solve,
     solve_many,
     symmetric_signature,
     vector,
 )
 from .surfaces import (
     CurveClass,
-    GeneralSurfaceH1,
     NonAllowableCycleError,
     PlanarSurface,
     TorusBoundarySpace,
 )
 from .wall import (
     MappingTorusBoundaryMap,
-    SkewSpace,
     WallCorrection,
     WallTriple,
     lplus_closed_form,
@@ -55,17 +52,14 @@ __all__ = [
     "Subspace",
     "Vector",
     "quotient_basis",
-    "solve",
     "solve_many",
     "symmetric_signature",
     "vector",
     "CurveClass",
-    "GeneralSurfaceH1",
     "NonAllowableCycleError",
     "PlanarSurface",
     "TorusBoundarySpace",
     "MappingTorusBoundaryMap",
-    "SkewSpace",
     "WallCorrection",
     "WallTriple",
     "lplus_closed_form",

@@ -29,6 +29,7 @@ from .fibration import PlanarFibration, family_y1, family_y2
 from .linalg import RationalMatrix
 from .properties import CHECK_NAMES, check_fibration, random_fibration
 from .surfaces import CurveClass, NonAllowableCycleError, PlanarSurface
+from .wall import standard_triple, wall_correction
 
 SCHEMA_VERSION = "1"
 
@@ -171,6 +172,10 @@ def load_document(text: str) -> FibrationDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    except ValueError:  # Python's limit on the digits of an integer literal
+        raise DocumentError("invalid JSON: integer literal too long")
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply")
     return FibrationDocument.from_obj(obj)
 
 
@@ -187,8 +192,8 @@ def _matrix_strings(M: RationalMatrix) -> list[list[str]]:
 
 
 def assemble_report(doc: FibrationDocument, fib: PlanarFibration) -> dict:
-    wc = fib.wall_correction()
     bmap = fib.boundary_map()
+    wc = wall_correction(standard_triple(bmap))
     report = fib.betti_report(wall=wc)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -250,15 +255,15 @@ def render_table(report: dict) -> str:
 
 
 def cmd_compute(args) -> int:
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.file, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as e:
-            print(f"error: cannot read {args.file}: {e}", file=sys.stderr)
-            return EXIT_INVALID
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"error: cannot read {args.file}: {e}", file=sys.stderr)
+        return EXIT_INVALID
     try:
         doc = load_document(text)
     except DocumentError as e:
@@ -267,7 +272,11 @@ def cmd_compute(args) -> int:
     try:
         fib = doc.to_fibration(force=args.force)
     except NonAllowableCycleError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(
+            f"error: vanishing_cycles[{e.index}] is null-homologous on the fiber; "
+            'pass --force or set "force_non_allowable": true to compute anyway',
+            file=sys.stderr,
+        )
         return EXIT_NON_ALLOWABLE
     report = assemble_report(doc, fib)
     if args.format == "table":

@@ -16,7 +16,7 @@ and is enforced in ``betti_report`` output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .linalg import RationalMatrix, SignatureTriple
@@ -39,24 +39,27 @@ class PlanarFibration:
 
     The cycle order is part of the data (it records the circular order
     of critical values) but no exported invariant depends on it.
-    Null-homologous cycles are rejected unless ``force`` is set.
+    Null-homologous cycles are rejected unless ``force`` is set.  The
+    cycles' class vectors are computed and checked once, here, and
+    every invariant is derived from them.
     """
 
     surface: PlanarSurface
     cycles: tuple[CurveClass, ...]
     force: bool = False
+    _vectors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, surface: PlanarSurface, cycles=(), force: bool = False):
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "cycles", tuple(cycles))
         object.__setattr__(self, "force", bool(force))
-        for i, c in enumerate(self.cycles):
-            v = surface.class_vector(c)  # validates shape and range
-            if not any(v) and not self.force:
-                raise NonAllowableCycleError(
-                    f"cycle {i} is null-homologous on the fiber; "
-                    "pass force=True to compute anyway"
-                )
+        # class_vector validates each curve's shape and range.
+        vectors = tuple(surface.class_vector(c) for c in self.cycles)
+        if not self.force:
+            for i, v in enumerate(vectors):
+                if not any(v):
+                    raise NonAllowableCycleError(i)
+        object.__setattr__(self, "_vectors", vectors)
 
     @property
     def m(self) -> int:
@@ -64,14 +67,14 @@ class PlanarFibration:
 
     @property
     def allowable(self) -> bool:
-        return all(any(self.surface.class_vector(c)) for c in self.cycles)
+        return all(any(v) for v in self._vectors)
 
     def class_vectors(self) -> list[tuple[int, ...]]:
-        return [self.surface.class_vector(c) for c in self.cycles]
+        return list(self._vectors)
 
     def cycle_matrix(self) -> RationalMatrix:
         """r x m matrix whose s-th column is the class of cycle s."""
-        return RationalMatrix.from_columns(self.class_vectors(), n_rows=self.surface.r)
+        return RationalMatrix.from_columns(self._vectors, n_rows=self.surface.r)
 
     def cycle_span_dim(self) -> int:
         return self.cycle_matrix().rank()
@@ -81,10 +84,10 @@ class PlanarFibration:
         return -self.m + self.cycle_span_dim()
 
     def boundary_map(self) -> MappingTorusBoundaryMap:
-        return mapping_torus_boundary_map(self.surface, self.cycles, self.force)
+        return mapping_torus_boundary_map(self.surface.r, self._vectors)
 
     def wall_correction(self) -> WallCorrection:
-        return wall_correction(standard_triple(self.surface, self.cycles, self.force))
+        return wall_correction(standard_triple(self.boundary_map()))
 
     def signature_wall_oracle(self) -> int:
         """Signature recomputed through the gluing correction.

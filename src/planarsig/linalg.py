@@ -253,11 +253,6 @@ def solve_many(M: RationalMatrix, rhs: Sequence[Sequence]) -> list[Vector | None
     return out
 
 
-def solve(M: RationalMatrix, b: Sequence) -> Vector | None:
-    """One solution of Mx = b (free variables zero), or None if none exists."""
-    return solve_many(M, [b])[0]
-
-
 class Subspace:
     """A linear subspace of Q^n with its canonical echelon basis.
 
@@ -286,10 +281,6 @@ class Subspace:
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim)
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, RationalMatrix.identity(ambient_dim).columns())
 
     @property
     def dim(self) -> int:
@@ -328,10 +319,6 @@ class Subspace:
         for k in stacked.kernel().columns():
             meet.append(self.basis.apply(k[: self.dim]))
         return Subspace(self.ambient_dim, meet)
-
-    def __le__(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return all(other.contains(c) for c in self.columns())
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:

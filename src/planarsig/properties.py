@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .linalg import SignatureTriple, Subspace, symmetric_signature
 from .surfaces import CurveClass, PlanarSurface
 from .fibration import NEGATIVE_DEFINITE, ZERO_FORM, PlanarFibration
-from .wall import lplus_closed_form, lplus_kernel, psi_gram_closed_form
+from .wall import lplus_closed_form, psi_gram_closed_form, standard_triple, wall_correction
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,11 @@ def check_fibration(fib: PlanarFibration, rng: random.Random) -> list[CheckResul
 
     surface = fib.surface
     r, m = surface.r, fib.m
-    d = fib.cycle_span_dim()
-    wc = fib.wall_correction()
+    vectors = fib.class_vectors()
+    triple = standard_triple(fib.boundary_map())
+    wc = wall_correction(triple)
     report = fib.betti_report(wall=wc)
+    d = report.d
 
     add(
         "span-formula-vs-wall-oracle",
@@ -76,11 +78,10 @@ def check_fibration(fib: PlanarFibration, rng: random.Random) -> list[CheckResul
     )
     add(
         "lplus-closed-form-vs-kernel",
-        lplus_closed_form(surface, fib.cycles, fib.force)
-        == lplus_kernel(fib.boundary_map()),
+        lplus_closed_form(r, vectors) == triple.l_plus,
         "closed-form generators span a different subspace than the kernel",
     )
-    gram_sig = symmetric_signature(psi_gram_closed_form(surface, fib.cycles, fib.force))
+    gram_sig = symmetric_signature(psi_gram_closed_form(r, vectors))
     add(
         "gram-psd-of-span-rank",
         gram_sig == SignatureTriple(d, 0, r - d),
@@ -132,9 +133,8 @@ def check_fibration(fib: PlanarFibration, rng: random.Random) -> list[CheckResul
             extra = fib.cycles[rng.randrange(m)]
         else:
             extra = CurveClass.enclosing(random_proper_subset(rng, r))
-        span = Subspace(r, fib.class_vectors())
-        in_span = surface.class_vector(extra) in span
         extended = PlanarFibration(surface, fib.cycles + (extra,), fib.force)
+        in_span = extended.class_vectors()[-1] in Subspace(r, vectors)
         expected = report.sigma - 1 if in_span else report.sigma
         got = extended.signature_from_cycle_span()
         add(

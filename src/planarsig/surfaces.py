@@ -14,9 +14,8 @@ Conventions used throughout:
   where m_i is the fiber-boundary direction and l_i the disk-boundary
   direction of the i-th torus.  The intersection pairing is fixed so
   that Q(m_i, l_j) = delta_ij and is zero on m-m and l-l pairs.
-* On a surface of genus g the right-handed Dehn twist along gamma acts
-  on H_1 by x -> x + Q(gamma, x) * gamma; on a planar surface the
-  intersection form vanishes and every twist acts trivially.
+* The intersection form on H_1 of a planar surface vanishes, so every
+  Dehn twist acts trivially on it.
 """
 
 from __future__ import annotations
@@ -29,7 +28,17 @@ from .linalg import RationalMatrix, Vector, vector
 
 
 class NonAllowableCycleError(ValueError):
-    """A vanishing cycle is null-homologous on its fiber."""
+    """A vanishing cycle is null-homologous on its fiber.
+
+    ``index`` is the position of the first such cycle in the list.
+    """
+
+    def __init__(self, index: int):
+        super().__init__(
+            f"cycle {index} is null-homologous on the fiber; "
+            "pass force=True to compute anyway"
+        )
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -78,10 +87,6 @@ class PlanarSurface:
     def __post_init__(self):
         if self.r < 0:
             raise ValueError("boundary count parameter r must be >= 0")
-
-    @property
-    def h1_dim(self) -> int:
-        return self.r
 
     def boundary_class(self, i: int) -> tuple[int, ...]:
         """Class of boundary circle i in the basis (m_1, ..., m_r)."""
@@ -136,12 +141,6 @@ class PlanarSurface:
             return curve
         complement = frozenset(range(self.r + 1)) - S
         return CurveClass(encloses=complement, sign=-curve.sign)
-
-    def is_allowable(self, curve: CurveClass) -> bool:
-        return any(self.class_vector(curve))
-
-    def boundary_torus(self) -> "TorusBoundarySpace":
-        return TorusBoundarySpace(self.r)
 
 
 class TorusBoundarySpace:
@@ -221,84 +220,3 @@ class TorusBoundarySpace:
     def __repr__(self) -> str:
         return f"TorusBoundarySpace(r={self.r})"
 
-
-class GeneralSurfaceH1:
-    """H_1 of a genus-g surface with boundary, hosting the twist action.
-
-    Basis order is (a_1, b_1, ..., a_g, b_g, m_1, ..., m_r) with
-    Q(a_i, b_j) = delta_ij and the boundary classes m_k in the radical.
-    Only the homological shadow of a Dehn twist lives here; for g = 0
-    the form vanishes and every twist acts as the identity.
-    """
-
-    __slots__ = ("genus", "r")
-
-    def __init__(self, genus: int, r: int):
-        if genus < 0 or r < 0:
-            raise ValueError("genus and boundary parameter must be >= 0")
-        self.genus = genus
-        self.r = r
-
-    @classmethod
-    def planar(cls, r: int) -> "GeneralSurfaceH1":
-        return cls(0, r)
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.genus + self.r
-
-    def a_index(self, i: int) -> int:
-        self._check_handle(i)
-        return 2 * (i - 1)
-
-    def b_index(self, i: int) -> int:
-        self._check_handle(i)
-        return 2 * (i - 1) + 1
-
-    def m_index(self, k: int) -> int:
-        if not 1 <= k <= self.r:
-            raise ValueError(f"boundary index {k} out of range 1..{self.r}")
-        return 2 * self.genus + (k - 1)
-
-    def _check_handle(self, i: int) -> None:
-        if not 1 <= i <= self.genus:
-            raise ValueError(f"handle index {i} out of range 1..{self.genus}")
-
-    def basis_vector(self, index: int) -> Vector:
-        v = [Fraction(0)] * self.dim
-        v[index] = Fraction(1)
-        return tuple(v)
-
-    def intersection_matrix(self) -> RationalMatrix:
-        n = self.dim
-        grid = [[0] * n for _ in range(n)]
-        for i in range(self.genus):
-            grid[2 * i][2 * i + 1] = 1
-            grid[2 * i + 1][2 * i] = -1
-        return RationalMatrix(grid)
-
-    def intersection(self, u: Sequence, v: Sequence) -> Fraction:
-        a, b = vector(u), vector(v)
-        if len(a) != self.dim or len(b) != self.dim:
-            raise ValueError(f"vectors must have length {self.dim}")
-        total = Fraction(0)
-        for i in range(self.genus):
-            total += a[2 * i] * b[2 * i + 1] - a[2 * i + 1] * b[2 * i]
-        return total
-
-    def twist(self, gamma: Sequence, x: Sequence) -> Vector:
-        """Right-handed Dehn twist action: x -> x + Q(gamma, x) * gamma."""
-        g, w = vector(gamma), vector(x)
-        c = self.intersection(g, w)
-        return tuple(xi + c * gi for xi, gi in zip(w, g))
-
-    def twist_matrix(self, gamma: Sequence) -> RationalMatrix:
-        cols = [self.twist(gamma, self.basis_vector(j)) for j in range(self.dim)]
-        return RationalMatrix.from_columns(cols, n_rows=self.dim)
-
-    def monodromy_matrix(self, word: Iterable[Sequence]) -> RationalMatrix:
-        """Composite action of a twist word, first curve applied first."""
-        result = RationalMatrix.identity(self.dim)
-        for gamma in word:
-            result = self.twist_matrix(gamma) @ result
-        return result

@@ -32,48 +32,18 @@ from .linalg import (
     quotient_basis,
     solve_many,
     symmetric_signature,
-    vector,
 )
-from .surfaces import CurveClass, NonAllowableCycleError, PlanarSurface, TorusBoundarySpace
-
-
-class SkewSpace:
-    """Ambient Q^n carrying an arbitrary skew-symmetric pairing matrix."""
-
-    __slots__ = ("pairing",)
-
-    def __init__(self, pairing: RationalMatrix):
-        if pairing.n_rows != pairing.n_cols:
-            raise ValueError("pairing matrix must be square")
-        if any(
-            pairing[i, j] != -pairing[j, i]
-            for i in range(pairing.n_rows)
-            for j in range(i + 1)
-        ):
-            raise ValueError("pairing matrix must be skew-symmetric")
-        self.pairing = pairing
-
-    @property
-    def dim(self) -> int:
-        return self.pairing.n_rows
-
-    def pair(self, u: Sequence, v: Sequence) -> Fraction:
-        a, b = vector(u), vector(v)
-        if len(a) != self.dim or len(b) != self.dim:
-            raise ValueError(f"vectors must have length {self.dim}")
-        return sum((x * y for x, y in zip(a, self.pairing.apply(b))), Fraction(0))
+from .surfaces import TorusBoundarySpace
 
 
 @dataclass(frozen=True)
 class WallTriple:
     """Three isotropic subspaces of a skew-paired ambient space.
 
-    ``space`` may be any object exposing ``dim`` and ``pair(u, v)``
-    (a TorusBoundarySpace or a SkewSpace).  Isotropy of each subspace
-    is checked at construction.
+    Isotropy of each subspace is checked at construction.
     """
 
-    space: object
+    space: TorusBoundarySpace
     l_minus: Subspace
     l_zero: Subspace
     l_plus: Subspace
@@ -165,28 +135,16 @@ class MappingTorusBoundaryMap:
     matrix: RationalMatrix
 
 
-def _checked_class_vectors(
-    surface: PlanarSurface, cycles: Sequence[CurveClass], force: bool
-) -> list[tuple[int, ...]]:
-    vectors = [surface.class_vector(c) for c in cycles]
-    if not force:
-        bad = [i for i, v in enumerate(vectors) if not any(v)]
-        if bad:
-            raise NonAllowableCycleError(
-                f"cycle {bad[0]} is null-homologous on the fiber; "
-                "pass force to compute outside the allowable range"
-            )
-    return vectors
-
-
 def mapping_torus_boundary_map(
-    surface: PlanarSurface, cycles: Sequence[CurveClass], force: bool = False
+    r: int, vectors: Sequence[Sequence[int]]
 ) -> MappingTorusBoundaryMap:
-    """Assemble the boundary-inclusion matrix column by column."""
-    r = surface.r
-    xs = _checked_class_vectors(surface, cycles, force)
+    """Assemble the boundary-inclusion matrix column by column.
+
+    ``vectors`` are the cycle classes in the basis (m_1, ..., m_r) of
+    the fiber's first homology, one per vanishing cycle.
+    """
     grid = [[Fraction(0)] * (2 * (r + 1)) for _ in range(r + 1)]
-    space = surface.boundary_torus()
+    space = TorusBoundarySpace(r)
     # m_0 column: -(m_1 + ... + m_r).
     for i in range(r):
         grid[i][space.m_index(0)] = Fraction(-1)
@@ -199,7 +157,7 @@ def mapping_torus_boundary_map(
     for j in range(1, r + 1):
         col = space.l_index(j)
         grid[r][col] = Fraction(1)
-        for x in xs:
+        for x in vectors:
             c = x[j - 1]
             if c:
                 for i in range(r):
@@ -214,9 +172,7 @@ def lplus_kernel(bmap: MappingTorusBoundaryMap) -> Subspace:
     return kernel
 
 
-def lplus_closed_form(
-    surface: PlanarSurface, cycles: Sequence[CurveClass], force: bool = False
-) -> Subspace:
+def lplus_closed_form(r: int, vectors: Sequence[Sequence[int]]) -> Subspace:
     """Span of the closed-form kernel generators.
 
     The generators are l_k - l_0 + sum_s Q(gamma_s, l_k) gamma_s for
@@ -224,15 +180,13 @@ def lplus_closed_form(
     must equal lplus_kernel of the assembled boundary map; the package
     test suite enforces that cross-check.
     """
-    r = surface.r
-    xs = _checked_class_vectors(surface, cycles, force)
-    space = surface.boundary_torus()
+    space = TorusBoundarySpace(r)
     gens: list[list[Fraction]] = []
     for k in range(1, r + 1):
         v = [Fraction(0)] * space.dim
         v[space.l_index(k)] = Fraction(1)
         v[space.l_index(0)] = Fraction(-1)
-        for x in xs:
+        for x in vectors:
             c = x[k - 1]
             if c:
                 for i in range(r):
@@ -245,31 +199,27 @@ def lplus_closed_form(
     return Subspace(space.dim, gens)
 
 
-def standard_triple(
-    surface: PlanarSurface, cycles: Sequence[CurveClass], force: bool = False
-) -> WallTriple:
-    """The triple attached to a fibration over the disk with this fiber.
+def standard_triple(bmap: MappingTorusBoundaryMap) -> WallTriple:
+    """The triple attached to a fibration over the disk with this
+    boundary map.
 
     L- is spanned by the meridians m_0..m_r (they bound disks on the
     outer piece), L0 by the longitudes l_0..l_r, and L+ is the kernel
     of the mapping torus boundary map.
     """
-    space = surface.boundary_torus()
-    r = surface.r
+    r = bmap.r
+    space = TorusBoundarySpace(r)
     l_minus = Subspace(space.dim, [space.basis_m(i) for i in range(r + 1)])
     l_zero = Subspace(space.dim, [space.basis_l(i) for i in range(r + 1)])
-    l_plus = lplus_kernel(mapping_torus_boundary_map(surface, cycles, force))
+    l_plus = lplus_kernel(bmap)
     return WallTriple(space=space, l_minus=l_minus, l_zero=l_zero, l_plus=l_plus)
 
 
-def psi_gram_closed_form(
-    surface: PlanarSurface, cycles: Sequence[CurveClass], force: bool = False
-) -> RationalMatrix:
+def psi_gram_closed_form(r: int, vectors: Sequence[Sequence[int]]) -> RationalMatrix:
     """Gram matrix of the induced form on its standard generating set.
 
     Equals B * B^T where the columns of B are the cycle class vectors;
     positive semidefinite of rank equal to the span of the cycles.
     """
-    xs = _checked_class_vectors(surface, cycles, force)
-    B = RationalMatrix.from_columns(xs, n_rows=surface.r)
+    B = RationalMatrix.from_columns(vectors, n_rows=r)
     return B @ B.transpose()

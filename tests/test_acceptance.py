@@ -44,9 +44,9 @@ class Instance:
 
 def _evaluate(fibration: PlanarFibration) -> Instance:
     wall = fibration.wall_correction()
-    matches = lplus_closed_form(fibration.surface, fibration.cycles) == lplus_kernel(
-        fibration.boundary_map()
-    )
+    matches = lplus_closed_form(
+        fibration.surface.r, fibration.class_vectors()
+    ) == lplus_kernel(fibration.boundary_map())
     return Instance(
         fibration=fibration,
         d=fibration.cycle_span_dim(),

@@ -1,11 +1,15 @@
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 from planarsig.cli import main
+from planarsig.fibration import PlanarFibration
+from planarsig.properties import CHECK_NAMES, check_fibration
+from planarsig.surfaces import CurveClass, PlanarSurface
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -212,7 +216,26 @@ class TestValidation:
         doc = {"boundary_components": 3, "vanishing_cycles": [{"class": [0, 0]}]}
         feed_stdin(doc)
         assert main(["compute", "-"]) == 3
-        assert "null-homologous" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "null-homologous" in err
+        assert "--force" in err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b'{"boundary_components": ' + b"1" * 5000 + b"}",
+            b"[" * 100000,
+            b"\xff\xfe{}",
+        ],
+        ids=["integer-past-digit-limit", "deep-nesting", "not-utf8"],
+    )
+    def test_hostile_file_exits_two(self, capsys, tmp_path, payload):
+        path = tmp_path / "doc.json"
+        path.write_bytes(payload)
+        assert main(["compute", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_null_homologous_with_force(self, capsys, feed_stdin):
         doc = {"boundary_components": 3, "vanishing_cycles": [{"class": [0, 0]}]}
@@ -292,6 +315,13 @@ class TestFuzz:
 
     def test_negative_bounds_rejected(self, capsys):
         assert main(["fuzz", "--count", "-1"]) == 2
+
+    def test_check_names_list_the_battery(self):
+        # The summary counts passes under CHECK_NAMES, so the list must
+        # name every check, in the battery's order.
+        fib = PlanarFibration(PlanarSurface(2), [CurveClass.enclosing({1})])
+        results = check_fibration(fib, random.Random(0))
+        assert [c.name for c in results] == CHECK_NAMES
 
 
 class TestEntryPoint:

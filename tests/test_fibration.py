@@ -39,6 +39,15 @@ class TestConstruction:
         with pytest.raises(NonAllowableCycleError):
             PlanarFibration(PlanarSurface(0), [CurveClass.explicit([])])
 
+    def test_class_vectors_stay_out_of_eq_hash_repr(self):
+        f = fib(2, {1}, {1, 2})
+        g = fib(2, {1}, {1, 2})
+        assert f == g and hash(f) == hash(g)
+        assert f.class_vectors() == [(1, 0), (1, 1)]
+        assert repr(f) == (
+            f"PlanarFibration(surface={f.surface!r}, cycles={f.cycles!r}, force=False)"
+        )
+
     def test_repeated_cycles_are_legal(self):
         f = fib(2, {1}, {1}, {1})
         assert f.m == 3

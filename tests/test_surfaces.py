@@ -3,13 +3,8 @@ from itertools import chain, combinations
 
 import pytest
 
-from planarsig.linalg import RationalMatrix, vector
-from planarsig.surfaces import (
-    CurveClass,
-    GeneralSurfaceH1,
-    PlanarSurface,
-    TorusBoundarySpace,
-)
+from planarsig.linalg import vector
+from planarsig.surfaces import CurveClass, PlanarSurface, TorusBoundarySpace
 
 from oracles import det_cofactor
 
@@ -77,7 +72,7 @@ class TestClassVector:
         for r in range(1, 9):
             s = PlanarSurface(r)
             for subset in proper_subsets(r):
-                assert s.is_allowable(CurveClass.enclosing(subset))
+                assert any(s.class_vector(CurveClass.enclosing(subset)))
             with pytest.raises(ValueError):
                 CurveClass.enclosing(set())
             with pytest.raises(ValueError):
@@ -160,7 +155,7 @@ class TestEmbedding:
 
     def test_pairing_reads_off_coordinates(self):
         s = PlanarSurface(2)
-        z = s.boundary_torus()
+        z = TorusBoundarySpace(s.r)
         gamma = s.class_vector(CurveClass.enclosing({1, 2}))
         assert z.pair(z.embed(gamma), z.basis_l(2)) == 1
 
@@ -176,7 +171,7 @@ class TestEmbedding:
 
     def test_enclosed_pair_example(self):
         s = PlanarSurface(3)
-        z = s.boundary_torus()
+        z = TorusBoundarySpace(s.r)
         gamma = s.class_vector(CurveClass.enclosing({1, 3}))
         assert z.pair(z.embed(gamma), z.basis_l(3)) == 1
 
@@ -184,82 +179,3 @@ class TestEmbedding:
         with pytest.raises(ValueError):
             TorusBoundarySpace(2).embed([1])
 
-
-class TestTwistAction:
-    def test_planar_twists_act_trivially(self):
-        rng = random.Random(13)
-        h1 = GeneralSurfaceH1.planar(4)
-        for _ in range(15):
-            gamma = [rng.randint(-3, 3) for _ in range(4)]
-            x = [rng.randint(-3, 3) for _ in range(4)]
-            assert h1.twist(gamma, x) == vector(x)
-
-    def test_genus_one_twist(self):
-        h1 = GeneralSurfaceH1(1, 0)
-        a = h1.basis_vector(h1.a_index(1))
-        b = h1.basis_vector(h1.b_index(1))
-        assert h1.twist(a, b) == vector([1, 1])
-
-    def test_double_twist(self):
-        rng = random.Random(19)
-        h1 = GeneralSurfaceH1(2, 1)
-        for _ in range(15):
-            gamma = vector([rng.randint(-2, 2) for _ in range(h1.dim)])
-            x = vector([rng.randint(-2, 2) for _ in range(h1.dim)])
-            c = h1.intersection(gamma, x)
-            twice = h1.twist(gamma, h1.twist(gamma, x))
-            expected = tuple(xi + 2 * c * gi for xi, gi in zip(x, gamma))
-            assert twice == expected
-
-    def test_twist_is_invertible(self):
-        rng = random.Random(21)
-        h1 = GeneralSurfaceH1(2, 2)
-        identity = RationalMatrix.identity(h1.dim)
-        for _ in range(10):
-            gamma = vector([rng.randint(-2, 2) for _ in range(h1.dim)])
-            forward = h1.twist_matrix(gamma)
-            inverse_cols = []
-            for j in range(h1.dim):
-                x = h1.basis_vector(j)
-                c = h1.intersection(gamma, x)
-                inverse_cols.append(tuple(xi - c * gi for xi, gi in zip(x, gamma)))
-            backward = RationalMatrix.from_columns(inverse_cols, n_rows=h1.dim)
-            assert forward @ backward == identity
-            assert backward @ forward == identity
-
-    def test_twist_matrices_are_transvections(self):
-        rng = random.Random(27)
-        h1 = GeneralSurfaceH1(1, 2)
-        for _ in range(10):
-            gamma = [rng.randint(-2, 2) for _ in range(h1.dim)]
-            T = h1.twist_matrix(gamma)
-            assert det_cofactor(T.to_rows()) == 1
-
-
-class TestMonodromy:
-    def test_empty_word_is_identity(self):
-        h1 = GeneralSurfaceH1(1, 1)
-        assert h1.monodromy_matrix([]) == RationalMatrix.identity(3)
-
-    def test_planar_words_are_identity(self):
-        rng = random.Random(31)
-        h1 = GeneralSurfaceH1.planar(3)
-        word = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(8)]
-        assert h1.monodromy_matrix(word) == RationalMatrix.identity(3)
-
-    def test_genus_one_composition(self):
-        h1 = GeneralSurfaceH1(1, 0)
-        a = h1.basis_vector(0)
-        b = h1.basis_vector(1)
-        # Twist along a then along b; composing the two transvection
-        # matrices by hand gives [[1, 1], [-1, 0]].
-        composite = h1.monodromy_matrix([a, b])
-        assert composite == h1.twist_matrix(b) @ h1.twist_matrix(a)
-        assert composite == RationalMatrix([[1, 1], [-1, 0]])
-        assert composite.apply(a) == vector([1, -1])
-
-    def test_word_determinant_one(self):
-        rng = random.Random(37)
-        h1 = GeneralSurfaceH1(2, 0)
-        word = [[rng.randint(-1, 1) for _ in range(h1.dim)] for _ in range(5)]
-        assert det_cofactor(h1.monodromy_matrix(word).to_rows()) == 1

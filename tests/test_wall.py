@@ -3,6 +3,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from planarsig.fibration import PlanarFibration
 from planarsig.linalg import RationalMatrix, SignatureTriple, Subspace
 from planarsig.properties import random_proper_subset
 from planarsig.surfaces import (
@@ -12,7 +13,6 @@ from planarsig.surfaces import (
     TorusBoundarySpace,
 )
 from planarsig.wall import (
-    SkewSpace,
     WallTriple,
     lplus_closed_form,
     lplus_kernel,
@@ -27,28 +27,20 @@ def curves(*subsets):
     return [CurveClass.enclosing(s) for s in subsets]
 
 
+def class_vectors(r, cs):
+    surface = PlanarSurface(r)
+    return [surface.class_vector(c) for c in cs]
+
+
+def triple_of(r, cs):
+    return standard_triple(mapping_torus_boundary_map(r, class_vectors(r, cs)))
+
+
 def all_proper_subsets(r):
     out = []
     for k in range(1, r + 1):
         out.extend(frozenset(c) for c in combinations(range(r + 1), k))
     return out
-
-
-class TestSkewSpace:
-    def test_rejects_non_skew(self):
-        with pytest.raises(ValueError):
-            SkewSpace(RationalMatrix([[1, 0], [0, 1]]))
-        with pytest.raises(ValueError):
-            SkewSpace(RationalMatrix([[0, 1, 0], [-1, 0, 0]]))
-
-    def test_pairs_like_torus_space(self):
-        z = TorusBoundarySpace(1)
-        s = SkewSpace(z.pairing_matrix())
-        rng = random.Random(1)
-        for _ in range(10):
-            u = [rng.randint(-3, 3) for _ in range(4)]
-            v = [rng.randint(-3, 3) for _ in range(4)]
-            assert s.pair(u, v) == z.pair(u, v)
 
 
 class TestWallTriple:
@@ -82,15 +74,13 @@ class TestWallCorrection:
         assert result.defect == 0
 
     def test_three_cycles_on_three_holed_sphere(self):
-        surface = PlanarSurface(2)
-        cycles = curves({1}, {2}, {1, 2})
-        result = wall_correction(standard_triple(surface, cycles))
+        result = wall_correction(triple_of(2, curves({1}, {2}, {1, 2})))
         assert result.w_dim == 2
         assert result.defect == 2
         assert result.correction == SignatureTriple(2, 0, 0)
 
     def test_trivial_monodromy(self):
-        result = wall_correction(standard_triple(PlanarSurface(3), []))
+        result = wall_correction(triple_of(3, []))
         assert result.w_dim == 0
         assert result.defect == 0
 
@@ -99,45 +89,40 @@ class TestWallCorrection:
         for _ in range(20):
             r = rng.randint(1, 4)
             cs = curves(*(random_proper_subset(rng, r) for _ in range(rng.randint(0, 6))))
-            psi = wall_correction(standard_triple(PlanarSurface(r), cs)).psi
+            psi = wall_correction(triple_of(r, cs)).psi
             assert psi == psi.transpose()
 
     def test_positive_definite_of_span_rank(self):
         rng = random.Random(103)
         for _ in range(30):
             r = rng.randint(1, 5)
-            surface = PlanarSurface(r)
             cs = curves(*(random_proper_subset(rng, r) for _ in range(rng.randint(0, 8))))
-            fib_rank = RationalMatrix.from_columns(
-                [surface.class_vector(c) for c in cs], n_rows=r
-            ).rank()
-            result = wall_correction(standard_triple(surface, cs))
+            fib_rank = RationalMatrix.from_columns(class_vectors(r, cs), n_rows=r).rank()
+            result = wall_correction(triple_of(r, cs))
             assert result.correction == SignatureTriple(result.w_dim, 0, 0)
             assert result.w_dim == fib_rank
 
 
 class TestBoundaryMap:
     def test_trivial_monodromy_sends_longitudes_to_l0(self):
-        surface = PlanarSurface(3)
-        bmap = mapping_torus_boundary_map(surface, [])
-        z = surface.boundary_torus()
+        bmap = mapping_torus_boundary_map(3, [])
+        z = TorusBoundarySpace(3)
         for j in range(1, 4):
             col = bmap.matrix.column(z.l_index(j))
             assert col == (0, 0, 0, 1)
 
     def test_single_cycle_on_annulus(self):
-        surface = PlanarSurface(1)
-        bmap = mapping_torus_boundary_map(surface, curves({1}))
+        bmap = mapping_torus_boundary_map(1, class_vectors(1, curves({1})))
         # Domain order (m_0, l_0, m_1, l_1), codomain (m_1, l_0);
         # the twist sends l_1 to l_0 - m_1.
         assert bmap.matrix == RationalMatrix([[-1, 0, 1, -1], [0, 1, 0, 1]])
 
     def test_rejects_null_homologous_cycle(self):
+        null = [CurveClass.explicit([0, 0])]
         with pytest.raises(NonAllowableCycleError):
-            mapping_torus_boundary_map(PlanarSurface(2), [CurveClass.explicit([0, 0])])
-        forced = mapping_torus_boundary_map(
-            PlanarSurface(2), [CurveClass.explicit([0, 0])], force=True
-        )
+            PlanarFibration(PlanarSurface(2), null).boundary_map()
+        forced = PlanarFibration(PlanarSurface(2), null, force=True).boundary_map()
+        assert forced == mapping_torus_boundary_map(2, [(0, 0)])
         assert forced.matrix.shape == (3, 6)
 
 
@@ -148,7 +133,7 @@ class TestLplus:
             r = rng.randint(0, 5)
             m = rng.randint(0, 6) if r else 0
             cs = curves(*(random_proper_subset(rng, r) for _ in range(m)))
-            bmap = mapping_torus_boundary_map(PlanarSurface(r), cs)
+            bmap = mapping_torus_boundary_map(r, class_vectors(r, cs))
             assert lplus_kernel(bmap).dim == r + 1
 
     def test_meridian_sum_always_in_kernel(self):
@@ -156,31 +141,28 @@ class TestLplus:
         for _ in range(20):
             r = rng.randint(1, 5)
             cs = curves(*(random_proper_subset(rng, r) for _ in range(rng.randint(0, 6))))
-            surface = PlanarSurface(r)
-            z = surface.boundary_torus()
+            z = TorusBoundarySpace(r)
             total_m = [0] * z.dim
             for i in range(r + 1):
                 total_m[z.m_index(i)] = 1
-            assert total_m in lplus_kernel(mapping_torus_boundary_map(surface, cs))
+            bmap = mapping_torus_boundary_map(r, class_vectors(r, cs))
+            assert total_m in lplus_kernel(bmap)
 
     def test_trivial_monodromy_kernel_members(self):
-        surface = PlanarSurface(2)
-        z = surface.boundary_torus()
-        kernel = lplus_kernel(mapping_torus_boundary_map(surface, []))
+        z = TorusBoundarySpace(2)
+        kernel = lplus_kernel(mapping_torus_boundary_map(2, []))
         for j in range(1, 3):
             diff = [a - b for a, b in zip(z.basis_l(j), z.basis_l(0))]
             assert diff in kernel
 
     def test_closed_form_single_cycle(self):
-        surface = PlanarSurface(1)
-        got = lplus_closed_form(surface, curves({1}))
+        got = lplus_closed_form(1, class_vectors(1, curves({1})))
         # Generators l_1 - l_0 + m_1 and m_0 + m_1 in order (m_0, l_0, m_1, l_1).
         expected = Subspace(4, [[0, -1, 1, 1], [1, 0, 1, 0]])
         assert got == expected
 
     def test_closed_form_trivial_monodromy(self):
-        surface = PlanarSurface(2)
-        z = surface.boundary_torus()
+        z = TorusBoundarySpace(2)
         gens = []
         for j in range(1, 3):
             gens.append([a - b for a, b in zip(z.basis_l(j), z.basis_l(0))])
@@ -188,17 +170,16 @@ class TestLplus:
         for i in range(3):
             total_m[z.m_index(i)] = 1
         gens.append(total_m)
-        assert lplus_closed_form(surface, []) == Subspace(z.dim, gens)
+        assert lplus_closed_form(2, []) == Subspace(z.dim, gens)
 
     def test_closed_form_equals_kernel_exhaustive_small(self):
         for r in range(1, 4):
             subsets = all_proper_subsets(r)
             for m in range(3):
                 for combo in combinations_with_replacement(subsets, m):
-                    cs = curves(*combo)
-                    surface = PlanarSurface(r)
-                    assert lplus_closed_form(surface, cs) == lplus_kernel(
-                        mapping_torus_boundary_map(surface, cs)
+                    xs = class_vectors(r, curves(*combo))
+                    assert lplus_closed_form(r, xs) == lplus_kernel(
+                        mapping_torus_boundary_map(r, xs)
                     )
 
     def test_closed_form_equals_kernel_randomized(self):
@@ -206,10 +187,9 @@ class TestLplus:
         for _ in range(60):
             r = rng.randint(1, 6)
             m = rng.randint(0, 20)
-            cs = curves(*(random_proper_subset(rng, r) for _ in range(m)))
-            surface = PlanarSurface(r)
-            assert lplus_closed_form(surface, cs) == lplus_kernel(
-                mapping_torus_boundary_map(surface, cs)
+            xs = class_vectors(r, curves(*(random_proper_subset(rng, r) for _ in range(m))))
+            assert lplus_closed_form(r, xs) == lplus_kernel(
+                mapping_torus_boundary_map(r, xs)
             )
 
 
@@ -218,20 +198,19 @@ class TestStandardTriple:
         rng = random.Random(127)
         for r in range(1, 5):
             cs = curves(*(random_proper_subset(rng, r) for _ in range(3)))
-            triple = standard_triple(PlanarSurface(r), cs)
+            triple = triple_of(r, cs)
             assert triple.l_minus.dim == r + 1
             assert triple.l_zero.dim == r + 1
             assert triple.l_plus.dim == r + 1
             assert triple.space.dim == 2 * (r + 1)
 
     def test_meridians_meet_longitudes_trivially(self):
-        triple = standard_triple(PlanarSurface(3), curves({1}, {2, 3}))
+        triple = triple_of(3, curves({1}, {2, 3}))
         assert (triple.l_minus & triple.l_zero) == Subspace.zero(8)
 
     def test_meridians_meet_kernel_in_meridian_sum(self):
-        surface = PlanarSurface(3)
-        z = surface.boundary_torus()
-        triple = standard_triple(surface, curves({1}, {2, 3}))
+        z = TorusBoundarySpace(3)
+        triple = triple_of(3, curves({1}, {2, 3}))
         total_m = [0] * z.dim
         for i in range(4):
             total_m[z.m_index(i)] = 1
@@ -240,22 +219,20 @@ class TestStandardTriple:
 
 class TestGramClosedForm:
     def test_trivial_monodromy_gram_is_zero(self):
-        assert psi_gram_closed_form(PlanarSurface(3), []) == RationalMatrix.zeros(3, 3)
+        assert psi_gram_closed_form(3, []) == RationalMatrix.zeros(3, 3)
 
     def test_three_cycle_example(self):
-        got = psi_gram_closed_form(PlanarSurface(2), curves({1}, {2}, {1, 2}))
+        got = psi_gram_closed_form(2, class_vectors(2, curves({1}, {2}, {1, 2})))
         assert got == RationalMatrix([[2, 1], [1, 2]])
 
     def test_rank_matches_cycle_matrix(self):
         rng = random.Random(131)
         for _ in range(30):
             r = rng.randint(1, 5)
-            surface = PlanarSurface(r)
             cs = curves(*(random_proper_subset(rng, r) for _ in range(rng.randint(0, 8))))
-            B = RationalMatrix.from_columns(
-                [surface.class_vector(c) for c in cs], n_rows=r
-            )
-            assert psi_gram_closed_form(surface, cs).rank() == B.rank()
+            xs = class_vectors(r, cs)
+            B = RationalMatrix.from_columns(xs, n_rows=r)
+            assert psi_gram_closed_form(r, xs).rank() == B.rank()
 
     def test_gram_inertia(self):
         from planarsig.linalg import symmetric_signature
@@ -263,13 +240,10 @@ class TestGramClosedForm:
         rng = random.Random(137)
         for _ in range(30):
             r = rng.randint(1, 5)
-            surface = PlanarSurface(r)
             cs = curves(*(random_proper_subset(rng, r) for _ in range(rng.randint(0, 8))))
-            B = RationalMatrix.from_columns(
-                [surface.class_vector(c) for c in cs], n_rows=r
-            )
-            d = B.rank()
-            sig = symmetric_signature(psi_gram_closed_form(surface, cs))
+            xs = class_vectors(r, cs)
+            d = RationalMatrix.from_columns(xs, n_rows=r).rank()
+            sig = symmetric_signature(psi_gram_closed_form(r, xs))
             assert sig == SignatureTriple(d, 0, r - d)
 
 
@@ -279,11 +253,10 @@ class TestInvariance:
         for _ in range(10):
             r = rng.randint(1, 4)
             cs = curves(*(random_proper_subset(rng, r) for _ in range(rng.randint(2, 6))))
-            surface = PlanarSurface(r)
-            base = wall_correction(standard_triple(surface, cs))
+            base = wall_correction(triple_of(r, cs))
             shuffled = cs[:]
             rng.shuffle(shuffled)
-            other = wall_correction(standard_triple(surface, shuffled))
+            other = wall_correction(triple_of(r, shuffled))
             assert other.defect == base.defect
             assert other.w_dim == base.w_dim
             assert other.correction == base.correction
@@ -293,9 +266,8 @@ class TestInvariance:
         for _ in range(10):
             r = rng.randint(1, 4)
             cs = curves(*(random_proper_subset(rng, r) for _ in range(rng.randint(1, 6))))
-            surface = PlanarSurface(r)
-            base = wall_correction(standard_triple(surface, cs))
+            base = wall_correction(triple_of(r, cs))
             k = rng.randrange(len(cs))
             flipped = [c.negated() if i == k else c for i, c in enumerate(cs)]
-            other = wall_correction(standard_triple(surface, flipped))
+            other = wall_correction(triple_of(r, flipped))
             assert other.defect == base.defect
