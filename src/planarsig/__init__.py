@@ -40,6 +40,8 @@ from .fibration import (
     ZERO_FORM,
     InvariantsReport,
     PlanarFibration,
+    expected_sigma_y1,
+    expected_sigma_y2,
     family_y1,
     family_y2,
 )
@@ -74,5 +76,7 @@ __all__ = [
     "PlanarFibration",
     "family_y1",
     "family_y2",
+    "expected_sigma_y1",
+    "expected_sigma_y2",
     "__version__",
 ]

@@ -25,7 +25,13 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .fibration import PlanarFibration, family_y1, family_y2
+from .fibration import (
+    PlanarFibration,
+    expected_sigma_y1,
+    expected_sigma_y2,
+    family_y1,
+    family_y2,
+)
 from .linalg import RationalMatrix
 from .properties import CHECK_NAMES, check_fibration, random_fibration
 from .surfaces import CurveClass, NonAllowableCycleError, PlanarSurface
@@ -187,8 +193,15 @@ def document_for(fib: PlanarFibration) -> FibrationDocument:
     )
 
 
-def _matrix_strings(M: RationalMatrix) -> list[list[str]]:
-    return [[str(x) for x in M.row(i)] for i in range(M.n_rows)]
+def _matrix_strings(M: RationalMatrix, field: str) -> list[list[str]]:
+    try:
+        return [[str(x) for x in M.row(i)] for i in range(M.n_rows)]
+    except ValueError:  # raised only by Python's limit on int -> str digits
+        raise DocumentError(
+            "an entry has more digits than Python's limit of "
+            f"{sys.get_int_max_str_digits()} for printing an integer",
+            field=field,
+        ) from None
 
 
 def assemble_report(doc: FibrationDocument, fib: PlanarFibration) -> dict:
@@ -212,10 +225,10 @@ def assemble_report(doc: FibrationDocument, fib: PlanarFibration) -> dict:
         "oracle_agrees": report.oracle_agrees,
         "wall": {
             "w_dim": wc.w_dim,
-            "psi_matrix": _matrix_strings(wc.psi),
+            "psi_matrix": _matrix_strings(wc.psi, "wall.psi_matrix"),
             "correction_triple": list(wc.correction.as_tuple()),
         },
-        "boundary_map": _matrix_strings(bmap.matrix),
+        "boundary_map": _matrix_strings(bmap.matrix, "boundary_map"),
     }
 
 
@@ -278,7 +291,11 @@ def cmd_compute(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NON_ALLOWABLE
-    report = assemble_report(doc, fib)
+    try:
+        report = assemble_report(doc, fib)
+    except DocumentError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID
     if args.format == "table":
         print(render_table(report))
     else:
@@ -296,10 +313,12 @@ def cmd_examples(args) -> int:
     if args.r < 2:
         print("error: --r must be >= 2 for the built-in families", file=sys.stderr)
         return EXIT_INVALID
-    fib = family_y1(args.r) if args.family == "y1" else family_y2(args.r)
+    if args.family == "y1":
+        fib, expected = family_y1(args.r), expected_sigma_y1(args.r)
+    else:
+        fib, expected = family_y2(args.r), expected_sigma_y2(args.r)
     doc = document_for(fib)
     report = assemble_report(doc, fib)
-    expected = -(args.r - 2) * (args.r + 1) // 2 if args.family == "y1" else -args.r**2 + args.r + 1
     out = {
         "schema_version": SCHEMA_VERSION,
         "family": args.family,

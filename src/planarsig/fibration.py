@@ -167,6 +167,11 @@ def family_y1(r: int) -> PlanarFibration:
     return PlanarFibration(surface, cycles)
 
 
+def expected_sigma_y1(r: int) -> int:
+    """Closed-form signature -(r-2)(r+1)/2 of ``family_y1(r)``."""
+    return -(r - 2) * (r + 1) // 2
+
+
 def family_y2(r: int) -> PlanarFibration:
     """Fibration on the same fiber as family y1 with boundary-parallel
     cycles: one around circle 0, then r-1 around each other circle.
@@ -182,3 +187,8 @@ def family_y2(r: int) -> PlanarFibration:
     for i in range(1, r + 2):
         cycles.extend([CurveClass.enclosing({i})] * (r - 1))
     return PlanarFibration(surface, cycles)
+
+
+def expected_sigma_y2(r: int) -> int:
+    """Closed-form signature -r^2 + r + 1 of ``family_y2(r)``."""
+    return -r * r + r + 1

@@ -13,6 +13,16 @@ coordinate is zero in every other basis column.  This is the unique
 such basis of a given span (it is the reduced row echelon form of the
 transposed generator matrix), so two subspaces are equal iff their
 basis grids are identical.
+
+Elimination touches only the nonzero entries of the pivot row: the
+pivot row is normalized, and subtracted from the other rows, over the
+columns where it is nonzero.  Since x - f*0 == x and 0/lead == 0, this
+yields the same RREF, value for value, as dense elimination over the
+full width; the tests hold it to such a dense reference.  The other
+exact loops (``apply``, ``contains``, the quotient tracker and the
+congruence diagonalization) skip zero factors the same way.  Most
+entries the signature computations meet are zero, because two of the
+three subspaces of the standard triple are coordinate subspaces.
 """
 
 from __future__ import annotations
@@ -28,6 +38,20 @@ def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"refusing float {x!r}: pass int, Fraction or a rational string")
     return Fraction(x)
+
+
+def refuse_floats(*vectors: Sequence) -> None:
+    """Raise the TypeError of ``vector`` if any entry is a float.
+
+    Checks entry types without coercing anything, for hot paths whose
+    callers already hold exact entries.
+    """
+    kinds: set[type] = set()
+    for w in vectors:
+        kinds.update(map(type, w))
+    if any(issubclass(k, float) for k in kinds):
+        # _frac raises on the first float, with vector's message.
+        _frac(next(x for w in vectors for x in w if isinstance(x, float)))
 
 
 def vector(entries: Iterable) -> Vector:
@@ -58,24 +82,26 @@ def _echelonize(rows: list[list[Fraction]], reduced: bool = True,
     for c in range(limit):
         if rank == n_rows:
             break
-        p = next((i for i in range(rank, n_rows) if rows[i][c] != 0), None)
+        p = next((i for i in range(rank, n_rows) if rows[i][c]), None)
         if p is None:
             continue
         if p != rank:
             rows[rank], rows[p] = rows[p], rows[rank]
-        lead = rows[rank][c]
         row_r = rows[rank]
+        lead = row_r[c]
+        # Columns left of c are zero in every row not yet used as a pivot.
+        support = [j for j in range(c, n_cols) if row_r[j]]
         if lead != 1:
-            for j in range(c, n_cols):
+            for j in support:
                 row_r[j] /= lead
         span = range(n_rows) if reduced else range(rank + 1, n_rows)
         for i in span:
             if i == rank:
                 continue
-            f = rows[i][c]
+            row_i = rows[i]
+            f = row_i[c]
             if f:
-                row_i = rows[i]
-                for j in range(c, n_cols):
+                for j in support:
                     row_i[j] -= f * row_r[j]
         pivots.append(c)
         rank += 1
@@ -178,7 +204,11 @@ class RationalMatrix:
         w = vector(v)
         if len(w) != self.n_cols:
             raise ValueError(f"vector of length {len(w)} against {self.shape} matrix")
-        return tuple(sum(a * b for a, b in zip(row, w)) for row in self._rows)
+        support = [(j, x) for j, x in enumerate(w) if x]
+        return tuple(
+            sum((row[j] * x for j, x in support if row[j]), Fraction(0))
+            for row in self._rows
+        )
 
     def is_symmetric(self) -> bool:
         if self.n_rows != self.n_cols:
@@ -296,8 +326,9 @@ class Subspace:
         for col, p in zip(self.basis.columns(), self._pivots):
             c = w[p]
             if c:
-                for j in range(self.ambient_dim):
-                    w[j] -= c * col[j]
+                for j, x in enumerate(col):
+                    if x:
+                        w[j] -= c * x
         return not any(w)
 
     def __contains__(self, v: Sequence) -> bool:
@@ -344,8 +375,7 @@ class _EchelonTracker:
     """Incrementally maintained reduced echelon basis (rows are mutually
     reduced, so coefficient extraction is a single indexed read)."""
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self):
         self.rows: dict[int, list[Fraction]] = {}
 
     def residual(self, v: Sequence[Fraction]) -> list[Fraction]:
@@ -353,23 +383,26 @@ class _EchelonTracker:
         for p, row in self.rows.items():
             c = w[p]
             if c:
-                for j in range(self.n):
-                    w[j] -= c * row[j]
+                for j, x in enumerate(row):
+                    if x:
+                        w[j] -= c * x
         return w
 
     def add(self, v: Sequence[Fraction]) -> bool:
         """Insert v; True iff it enlarged the span."""
         w = self.residual(v)
-        p = next((j for j, x in enumerate(w) if x != 0), None)
-        if p is None:
+        support = [j for j, x in enumerate(w) if x]
+        if not support:
             return False
+        p = support[0]
         lead = w[p]
         if lead != 1:
-            w = [x / lead for x in w]
+            for j in support:
+                w[j] /= lead
         for row in self.rows.values():
             c = row[p]
             if c:
-                for j in range(self.n):
+                for j in support:
                     row[j] -= c * w[j]
         self.rows[p] = w
         return True
@@ -387,7 +420,7 @@ def quotient_basis(numerator: Subspace, denominator: Subspace) -> list[Vector]:
     for c in denominator.columns():
         if not numerator.contains(c):
             raise ValueError("denominator is not a subspace of the numerator")
-    tracker = _EchelonTracker(numerator.ambient_dim)
+    tracker = _EchelonTracker()
     for c in denominator.columns():
         tracker.add(c)
     reps = [c for c in numerator.columns() if tracker.add(c)]
@@ -464,8 +497,12 @@ def symmetric_signature(S: RationalMatrix) -> SignatureTriple:
                 f /= d
                 row_k, row_i = A[k], A[i]
                 for c in range(k, n):
-                    row_i[c] -= f * row_k[c]
+                    x = row_k[c]
+                    if x:
+                        row_i[c] -= f * x
                 for r in range(k, n):
-                    A[r][i] -= f * A[r][k]
+                    x = A[r][k]
+                    if x:
+                        A[r][i] -= f * x
         k += 1
     return SignatureTriple(n_plus, n_minus, n - n_plus - n_minus)

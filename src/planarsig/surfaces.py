@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import RationalMatrix, Vector, vector
+from .linalg import RationalMatrix, Vector, refuse_floats, vector
 
 
 class NonAllowableCycleError(ValueError):
@@ -192,13 +192,26 @@ class TorusBoundarySpace:
         return RationalMatrix(grid)
 
     def pair(self, u: Sequence, v: Sequence) -> Fraction:
-        """Intersection pairing Q(u, v); skew so Q(u, v) = -Q(v, u)."""
-        a, b = vector(u), vector(v)
-        if len(a) != self.dim or len(b) != self.dim:
+        """Intersection pairing Q(u, v); skew so Q(u, v) = -Q(v, u).
+
+        Entries may be ints or Fractions; floats are refused.  Only
+        the products of two nonzero entries are summed.
+        """
+        if len(u) != self.dim or len(v) != self.dim:
             raise ValueError(f"vectors must have length {self.dim}")
+        refuse_floats(u, v)
         total = Fraction(0)
-        for i in range(self.r + 1):
-            total += a[2 * i] * b[2 * i + 1] - a[2 * i + 1] * b[2 * i]
+        for i in range(0, self.dim, 2):
+            a = u[i]
+            if a:
+                b = v[i + 1]
+                if b:
+                    total += a * b
+            a = u[i + 1]
+            if a:
+                b = v[i]
+                if b:
+                    total -= a * b
         return total
 
     def embed(self, m_coefficients: Sequence) -> Vector:

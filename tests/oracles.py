@@ -7,6 +7,13 @@ interpolated characteristic polynomial.  Descartes' count of positive
 roots is exact (not just an upper bound) for polynomials whose roots
 are all real, which holds for characteristic polynomials of symmetric
 matrices.
+
+The dense references at the end reach sizes the brute-force oracles
+cannot.  They are the package's elimination, congruence
+diagonalization and torus pairing as they stood before those skipped
+zero entries: every row operation spans the full width and every
+product is taken, zeros included.  The package must agree with them
+value for value.
 """
 
 from fractions import Fraction
@@ -90,3 +97,134 @@ def inertia_by_descartes(rows):
     nonzero = [c for c in coeffs[n_zero:] if c != 0]
     n_plus = sum(1 for a, b in zip(nonzero, nonzero[1:]) if (a > 0) != (b > 0))
     return (n_plus, n - n_zero - n_plus, n_zero)
+
+
+def echelonize_dense(rows, reduced=True, pivot_limit=None):
+    """Row-reduce in place with leftmost pivots, touching every entry."""
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    limit = n_cols if pivot_limit is None else pivot_limit
+    pivots = []
+    rank = 0
+    for c in range(limit):
+        if rank == n_rows:
+            break
+        p = next((i for i in range(rank, n_rows) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != rank:
+            rows[rank], rows[p] = rows[p], rows[rank]
+        lead = rows[rank][c]
+        row_r = rows[rank]
+        if lead != 1:
+            for j in range(c, n_cols):
+                row_r[j] /= lead
+        span = range(n_rows) if reduced else range(rank + 1, n_rows)
+        for i in span:
+            if i == rank:
+                continue
+            f = rows[i][c]
+            if f:
+                row_i = rows[i]
+                for j in range(c, n_cols):
+                    row_i[j] -= f * row_r[j]
+        pivots.append(c)
+        rank += 1
+    return pivots
+
+
+def rref_dense(rows):
+    """Canonical basis (nonzero RREF rows) of the span of ``rows``."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots = echelonize_dense(work)
+    return [tuple(row) for row in work[: len(pivots)]]
+
+
+def kernel_dense(rows, n_cols):
+    """Null space basis read off the dense RREF, free variables set to 1."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots = echelonize_dense(work)
+    basis = []
+    for free in range(n_cols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * n_cols
+        v[free] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -work[i][free]
+        basis.append(v)
+    return rref_dense(basis) if basis else []
+
+
+def solve_dense(rows, n_cols, rhs):
+    """Per b in ``rhs``, the solution of Mx = b with free variables
+    zero, or None; one elimination of the augmented matrix."""
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(b[i]) for b in rhs]
+        for i, row in enumerate(rows)
+    ]
+    pivots = echelonize_dense(aug, pivot_limit=n_cols)
+    out = []
+    for k in range(len(rhs)):
+        col = n_cols + k
+        if any(aug[i][col] != 0 for i in range(len(pivots), len(aug))):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * n_cols
+        for i, p in enumerate(pivots):
+            x[p] = aug[i][col]
+        out.append(tuple(x))
+    return out
+
+
+def inertia_dense(rows):
+    """(n_plus, n_minus, n_zero) by congruence, touching every entry."""
+    A = [[Fraction(x) for x in row] for row in rows]
+    n = len(A)
+    n_plus = n_minus = 0
+    k = 0
+    while k < n:
+        p = next((i for i in range(k, n) if A[i][i] != 0), None)
+        if p is None:
+            spot = next(
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if A[i][j] != 0),
+                None,
+            )
+            if spot is None:
+                break
+            i, j = spot
+            for c in range(k, n):
+                A[i][c] += A[j][c]
+            for r in range(k, n):
+                A[r][i] += A[r][j]
+            p = i
+        if p != k:
+            A[k], A[p] = A[p], A[k]
+            for r in range(k, n):
+                A[r][k], A[r][p] = A[r][p], A[r][k]
+        d = A[k][k]
+        if d > 0:
+            n_plus += 1
+        else:
+            n_minus += 1
+        for i in range(k + 1, n):
+            f = A[i][k]
+            if f:
+                f /= d
+                row_k, row_i = A[k], A[i]
+                for c in range(k, n):
+                    row_i[c] -= f * row_k[c]
+                for r in range(k, n):
+                    A[r][i] -= f * A[r][k]
+        k += 1
+    return (n_plus, n_minus, n - n_plus - n_minus)
+
+
+def pair_dense(u, v):
+    """Torus pairing on (m_0, l_0, ..., m_r, l_r) coordinates, every term taken."""
+    a = [Fraction(x) for x in u]
+    b = [Fraction(x) for x in v]
+    total = Fraction(0)
+    for i in range(len(a) // 2):
+        total += a[2 * i] * b[2 * i + 1] - a[2 * i + 1] * b[2 * i]
+    return total

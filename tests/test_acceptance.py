@@ -20,6 +20,8 @@ from planarsig.fibration import (
     ZERO_FORM,
     InvariantsReport,
     PlanarFibration,
+    expected_sigma_y1,
+    expected_sigma_y2,
     family_y1,
     family_y2,
 )
@@ -96,7 +98,7 @@ def test_pair_family_signatures_both_paths():
     expected = {2: 0, 3: -2, 4: -5, 5: -9, 6: -14, 7: -20, 8: -27}
     for r, sigma in expected.items():
         f = family_y1(r)
-        assert f.signature_from_cycle_span() == sigma == -(r - 2) * (r + 1) // 2
+        assert f.signature_from_cycle_span() == sigma == expected_sigma_y1(r)
         assert f.signature_wall_oracle() == sigma
     print("PASS: family y1 signatures match -(r-2)(r+1)/2 for r = 2..8, both paths")
 
@@ -105,7 +107,7 @@ def test_parallel_family_signatures_both_paths():
     expected = {2: -1, 3: -5, 4: -11, 5: -19, 6: -29, 7: -41, 8: -55}
     for r, sigma in expected.items():
         f = family_y2(r)
-        assert f.signature_from_cycle_span() == sigma == -r * r + r + 1
+        assert f.signature_from_cycle_span() == sigma == expected_sigma_y2(r)
         assert f.signature_wall_oracle() == sigma
     print("PASS: family y2 signatures match -r^2+r+1 for r = 2..8, both paths")
 

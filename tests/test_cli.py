@@ -5,8 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planarsig.cli import main
+from planarsig.cli import DocumentError, load_document, main
 from planarsig.fibration import PlanarFibration
 from planarsig.properties import CHECK_NAMES, check_fibration
 from planarsig.surfaces import CurveClass, PlanarSurface
@@ -237,6 +239,19 @@ class TestValidation:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_report_entry_past_digit_limit_exits_two(self, capsys, feed_stdin):
+        # The document's integers are within Python's digit limit for
+        # int <-> str conversion, but the boundary map holds their
+        # squares, which are not.
+        doc = {"boundary_components": 3, "vanishing_cycles": [{"class": [10**2200, 0]}]}
+        feed_stdin(doc)
+        assert main(["compute", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     def test_null_homologous_with_force(self, capsys, feed_stdin):
         doc = {"boundary_components": 3, "vanishing_cycles": [{"class": [0, 0]}]}
         feed_stdin(doc)
@@ -255,6 +270,43 @@ class TestValidation:
         }
         feed_stdin(doc)
         assert main(["compute", "-"]) == 0
+
+
+DOCUMENT_KEYS = (
+    "boundary_components",
+    "vanishing_cycles",
+    "force_non_allowable",
+    "encloses",
+    "class",
+)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(DOCUMENT_KEYS) | st.text(max_size=3), children, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestLoadDocumentProperty:
+    """Whatever the input, ``load_document`` returns or raises DocumentError."""
+
+    @staticmethod
+    def load_or_reject(text):
+        try:
+            load_document(text)
+        except DocumentError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.text())
+    def test_arbitrary_text(self, text):
+        self.load_or_reject(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(json_values)
+    def test_arbitrary_json_from_document_keys(self, value):
+        self.load_or_reject(json.dumps(value))
 
 
 class TestExamples:
