@@ -23,6 +23,15 @@ exact loops (``apply``, ``contains``, the quotient tracker and the
 congruence diagonalization) skip zero factors the same way.  Most
 entries the signature computations meet are zero, because two of the
 three subspaces of the standard triple are coordinate subspaces.
+
+Kernels and intersections take one elimination each.  A kernel is read
+off the RREF taken with the columns reversed, whose free-variable
+vectors already are the canonical basis.  An intersection is the
+kernel of both operands' equations, which are read off their canonical
+bases (a coordinate subspace gives one-entry equations).  Entries are
+coerced to Fraction once, at the public entry points; a Fraction passes
+through unchanged, and subspaces built from a basis that is already
+canonical skip coercion and checks altogether.
 """
 
 from __future__ import annotations
@@ -35,6 +44,8 @@ Vector = tuple[Fraction, ...]
 
 
 def _frac(x) -> Fraction:
+    if type(x) is Fraction:
+        return x  # immutable, so sharing it is safe
     if isinstance(x, float):
         raise TypeError(f"refusing float {x!r}: pass int, Fraction or a rational string")
     return Fraction(x)
@@ -128,6 +139,15 @@ class RationalMatrix:
         self._rows = data
         self.n_rows = len(data)
         self.n_cols = n_cols
+
+    @classmethod
+    def _exact(cls, rows: tuple[Vector, ...], n_cols: int) -> "RationalMatrix":
+        """Wrap rows of Fractions as they are: no copy, coercion or check."""
+        self = cls.__new__(cls)
+        self._rows = rows
+        self.n_rows = len(rows)
+        self.n_cols = n_cols
+        return self
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -224,20 +244,9 @@ class RationalMatrix:
         return len(_echelonize(rows, reduced=False))
 
     def kernel(self) -> "Subspace":
-        """Null space {x : Mx = 0} as a canonical subspace of Q^n_cols."""
-        rows = self.to_rows()
-        pivots = _echelonize(rows)
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.n_cols):
-            if free in pivot_set:
-                continue
-            v = [Fraction(0)] * self.n_cols
-            v[free] = Fraction(1)
-            for i, p in enumerate(pivots):
-                v[p] = -rows[i][free]
-            basis.append(v)
-        return Subspace(self.n_cols, basis)
+        """Null space {x : Mx = 0} as a canonical subspace of Q^n_cols,
+        read off one elimination (see ``_null_space``)."""
+        return _null_space(self._rows, self.n_cols)
 
     def __eq__(self, other) -> bool:
         return (
@@ -252,6 +261,36 @@ class RationalMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
         return f"RationalMatrix({self.n_rows}x{self.n_cols}: {body})"
+
+
+def _null_space(rows: Sequence[Sequence[Fraction]], n_cols: int) -> "Subspace":
+    """Canonical basis of {x : row . x = 0 for every row}.
+
+    The rows are echelonized with their columns reversed, so each pivot
+    sits as far right as it can: RREF row i is zero right of its pivot
+    p_i and at every other pivot.  The free-variable vector
+    e_f - sum_i rows[i][f] e_{p_i} is therefore nonzero only at f and at
+    pivots right of f, so its leading entry is the 1 at f, and it is
+    zero at every other free column.  Taken in increasing f, these
+    vectors already are the canonical basis; no second elimination is
+    needed.
+    """
+    last = n_cols - 1
+    work = [list(reversed(row)) for row in rows]
+    pivots = [last - c for c in _echelonize(work)]
+    pivot_set = set(pivots)
+    zero, one = Fraction(0), Fraction(1)
+    free = [f for f in range(n_cols) if f not in pivot_set]
+    basis = []
+    for f in free:
+        v = [zero] * n_cols
+        v[f] = one
+        for row, p in zip(work, pivots):
+            x = row[last - f]
+            if x:
+                v[p] = -x
+        basis.append(v)
+    return Subspace._canonical(n_cols, basis, free)
 
 
 def solve_many(M: RationalMatrix, rhs: Sequence[Sequence]) -> list[Vector | None]:
@@ -303,9 +342,22 @@ class Subspace:
                 raise ValueError(f"generator of length {len(w)} in Q^{ambient_dim}")
             rows.append(w)
         pivots = _echelonize(rows)
-        kept = rows[: len(pivots)]
+        self._adopt(ambient_dim, rows[: len(pivots)], pivots)
+
+    @classmethod
+    def _canonical(cls, ambient_dim: int, basis: list[list[Fraction]],
+                   pivots: Sequence[int]) -> "Subspace":
+        """Wrap a basis that is already canonical (Fraction entries,
+        reduced column echelon form with these pivot coordinates)."""
+        self = cls.__new__(cls)
+        self._adopt(ambient_dim, basis, pivots)
+        return self
+
+    def _adopt(self, ambient_dim: int, basis: list[list[Fraction]],
+               pivots: Sequence[int]) -> None:
         self.ambient_dim = ambient_dim
-        self.basis = RationalMatrix.from_columns(kept, n_rows=ambient_dim)
+        rows = tuple(zip(*basis)) if basis else ((),) * ambient_dim
+        self.basis = RationalMatrix._exact(rows, n_cols=len(basis))
         self._pivots = tuple(pivots)
 
     @classmethod
@@ -336,20 +388,39 @@ class Subspace:
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace(self.ambient_dim, self.columns() + other.columns())
+        rows = [list(c) for c in self.columns() + other.columns()]
+        pivots = _echelonize(rows)
+        return Subspace._canonical(self.ambient_dim, rows[: len(pivots)], pivots)
 
     def __and__(self, other: "Subspace") -> "Subspace":
-        """Intersection, via the kernel of the stacked system [U | -V]."""
+        """Intersection: the null space of both operands' equations
+        (see ``_equations``), found by one elimination."""
         self._check_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        neg = RationalMatrix([[-x for x in row] for row in other.basis._rows],
-                             n_cols=other.dim)
-        stacked = RationalMatrix.hstack(self.basis, neg)
-        meet = []
-        for k in stacked.kernel().columns():
-            meet.append(self.basis.apply(k[: self.dim]))
-        return Subspace(self.ambient_dim, meet)
+        return _null_space(self._equations() + other._equations(), self.ambient_dim)
+
+    def _equations(self) -> list[list[Fraction]]:
+        """Rows whose common null space is this subspace.
+
+        With canonical basis columns b_t and pivots p_t, a vector x lies
+        in the span iff x = sum_t x[p_t] b_t, that is iff
+        x[j] - sum_t b_t[j] x[p_t] = 0 at every non-pivot coordinate j;
+        one row per such j.  A coordinate subspace gets one-entry rows.
+        """
+        n = self.ambient_dim
+        pivots = self._pivots
+        pivot_set = set(pivots)
+        zero, one = Fraction(0), Fraction(1)
+        rows = []
+        for j, entries in enumerate(self.basis._rows):
+            if j in pivot_set:
+                continue
+            row = [zero] * n
+            row[j] = one
+            for p, b in zip(pivots, entries):
+                if b:
+                    row[p] = -b
+            rows.append(row)
+        return rows
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:

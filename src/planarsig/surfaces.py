@@ -214,6 +214,25 @@ class TorusBoundarySpace:
                     total -= a * b
         return total
 
+    def is_isotropic(self, vectors: Sequence[Sequence]) -> bool:
+        """True iff Q(u, v) = 0 for every pair of the given vectors.
+
+        Same checks as ``pair``, but each vector's nonzero entries are
+        collected once, as the sparse vector Ju with Q(u, v) = Ju . v:
+        m_i pairs with the l_i entry of v and l_i, negated, with its m_i
+        entry.  Q(u, u) = 0 by skew-symmetry, so only distinct pairs are
+        summed.
+        """
+        if any(len(u) != self.dim for u in vectors):
+            raise ValueError(f"vectors must have length {self.dim}")
+        refuse_floats(*vectors)
+        for k, u in enumerate(vectors):
+            ju = [(i + 1, a) if i % 2 == 0 else (i - 1, -a) for i, a in enumerate(u) if a]
+            for v in vectors[:k]:
+                if sum((a * v[j] for j, a in ju if v[j]), Fraction(0)):
+                    return False
+        return True
+
     def embed(self, m_coefficients: Sequence) -> Vector:
         """Include a fiber class (coefficients of m_1..m_r) into this space."""
         w = vector(m_coefficients)

@@ -57,11 +57,8 @@ class WallTriple:
         ):
             if sub.ambient_dim != n:
                 raise ValueError(f"{name} lives in Q^{sub.ambient_dim}, ambient is Q^{n}")
-            cols = sub.columns()
-            for i, u in enumerate(cols):
-                for v in cols[: i + 1]:
-                    if self.space.pair(u, v) != 0:
-                        raise ValueError(f"{name} is not isotropic for the pairing")
+            if not self.space.is_isotropic(sub.columns()):
+                raise ValueError(f"{name} is not isotropic for the pairing")
 
 
 @dataclass(frozen=True)
@@ -143,20 +140,21 @@ def mapping_torus_boundary_map(
     ``vectors`` are the cycle classes in the basis (m_1, ..., m_r) of
     the fiber's first homology, one per vanishing cycle.
     """
-    grid = [[Fraction(0)] * (2 * (r + 1)) for _ in range(r + 1)]
+    # Integer entries; RationalMatrix turns each into a Fraction once.
+    grid = [[0] * (2 * (r + 1)) for _ in range(r + 1)]
     space = TorusBoundarySpace(r)
     # m_0 column: -(m_1 + ... + m_r).
     for i in range(r):
-        grid[i][space.m_index(0)] = Fraction(-1)
+        grid[i][space.m_index(0)] = -1
     # m_j columns are fixed; l_0 maps to itself.
     for j in range(1, r + 1):
-        grid[j - 1][space.m_index(j)] = Fraction(1)
-    grid[r][space.l_index(0)] = Fraction(1)
+        grid[j - 1][space.m_index(j)] = 1
+    grid[r][space.l_index(0)] = 1
     # l_j columns: l_0 - sum_s Q(gamma_s, l_j) gamma_s, and Q(gamma_s, l_j)
     # is the j-th m coefficient of gamma_s.
     for j in range(1, r + 1):
         col = space.l_index(j)
-        grid[r][col] = Fraction(1)
+        grid[r][col] = 1
         for x in vectors:
             c = x[j - 1]
             if c:

@@ -12,8 +12,11 @@ The dense references at the end reach sizes the brute-force oracles
 cannot.  They are the package's elimination, congruence
 diagonalization and torus pairing as they stood before those skipped
 zero entries: every row operation spans the full width and every
-product is taken, zeros included.  The package must agree with them
-value for value.
+product is taken, zeros included.  Kernels are read off a
+leftmost-pivot RREF and canonicalized by a second elimination, and
+intersections come from a stacked kernel, as they were before the
+package read both off a single elimination.  The package must agree
+with them value for value.
 """
 
 from fractions import Fraction
@@ -154,6 +157,23 @@ def kernel_dense(rows, n_cols):
             v[p] = -work[i][free]
         basis.append(v)
     return rref_dense(basis) if basis else []
+
+
+def meet_dense(u_gens, v_gens, n):
+    """Canonical basis of span(u_gens) meet span(v_gens) in Q^n, the way
+    it was computed before intersections came from equations: the null
+    space of the stacked system [U | -V] gives the pairs U a = V b, and
+    the U a are canonicalized."""
+    u = rref_dense(u_gens)
+    v = rref_dense(v_gens)
+    if not u or not v:
+        return []
+    stacked = [[x[i] for x in u] + [-y[i] for y in v] for i in range(n)]
+    meet = [
+        [sum((a[t] * u[t][i] for t in range(len(u))), Fraction(0)) for i in range(n)]
+        for a in kernel_dense(stacked, len(u) + len(v))
+    ]
+    return rref_dense(meet)
 
 
 def solve_dense(rows, n_cols, rhs):

@@ -113,6 +113,16 @@ class TestCompute:
         out = capsys.readouterr().out
         assert out == (GOLDEN / "three_cycles_report.json").read_text()
 
+    @pytest.mark.parametrize("name", ["wide_r32_m2", "large_r16_m80"])
+    def test_matches_golden_file_at_benchmark_sizes(self, capsys, feed_stdin, name):
+        # Seeded documents of the benchmark's two compute shapes: r = 32
+        # with m = 2 (the triple side dominates) and r = 16 with m = 80
+        # (large rationals in Psi).
+        feed_stdin((GOLDEN / f"{name}.json").read_text())
+        assert main(["compute", "-"]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / f"{name}_report.json").read_text()
+
     def test_explicit_class_vectors(self, capsys, feed_stdin):
         doc = {
             "boundary_components": 3,

@@ -1,6 +1,7 @@
-"""The exact kernels skip zero entries; the dense references in
-``oracles`` do not.  Both must give the same values on seeded sparse
-and dense matrices, integer and rational, up to 40 x 80."""
+"""The exact kernels skip zero entries and read kernels and
+intersections off a single elimination; the dense references in
+``oracles`` do neither.  Both must give the same values on seeded
+sparse and dense matrices, integer and rational, up to 40 x 80."""
 
 import random
 from fractions import Fraction
@@ -14,13 +15,16 @@ from planarsig.linalg import (
     quotient_basis,
     solve_many,
     symmetric_signature,
+    vector,
 )
 from planarsig.surfaces import TorusBoundarySpace
+from planarsig.wall import mapping_torus_boundary_map
 
 from oracles import (
     echelonize_dense,
     inertia_dense,
     kernel_dense,
+    meet_dense,
     pair_dense,
     rref_dense,
     solve_dense,
@@ -61,8 +65,8 @@ def cases(shapes):
     ]
 
 
-# Every check runs up to 24 x 48; the canonical basis and the rank,
-# which every other routine builds on, also at 40 x 80.
+# Every check runs up to 24 x 48; the canonical basis, the rank and the
+# kernel, which every other routine builds on, also at 40 x 80.
 CASES = cases(((6, 9), (17, 11), (24, 48)))
 LARGE_CASES = cases(((40, 80),))
 
@@ -98,6 +102,63 @@ def test_canonical_basis_and_rank_match_dense(case):
     basis = rref_dense(grid)
     assert Subspace(len(grid[0]), grid).columns() == tuple(basis)
     assert RationalMatrix(grid).rank() == len(basis)
+
+
+@pytest.mark.parametrize("case", LARGE_CASES, ids=case_id)
+def test_kernel_matches_dense_at_large_sizes(case):
+    grid = case_grid(case)
+    n_cols = len(grid[0])
+    assert RationalMatrix(grid).kernel().columns() == tuple(kernel_dense(grid, n_cols))
+
+
+def check_meet_and_sum(U, V, u_gens, v_gens):
+    n = U.ambient_dim
+    assert (U & V).columns() == tuple(meet_dense(u_gens, v_gens, n))
+    assert (V & U) == (U & V)
+    assert (U + V).columns() == tuple(rref_dense(list(u_gens) + list(v_gens)))
+
+
+def unit(n, i):
+    return [Fraction(int(j == i)) for j in range(n)]
+
+
+def test_meet_and_sum_of_grid_spans_match_dense(grid):
+    # The first and last two thirds of the rows share the middle third,
+    # so the meet is never trivial by construction.
+    n = len(grid[0])
+    k = len(grid) // 3
+    u_gens, v_gens = grid[: len(grid) - k], grid[k:]
+    check_meet_and_sum(Subspace(n, u_gens), Subspace(n, v_gens), u_gens, v_gens)
+
+
+@pytest.mark.parametrize("n", [1, 6, 20])
+def test_meet_and_sum_of_coordinate_subspaces_match_dense(n):
+    rng = random.Random(n)
+    for _ in range(6):
+        s = rng.sample(range(n), rng.randint(1, n))
+        t = rng.sample(range(n), rng.randint(1, n))
+        u_gens = [unit(n, i) for i in s]
+        v_gens = [unit(n, i) for i in t]
+        U, V = Subspace(n, u_gens), Subspace(n, v_gens)
+        check_meet_and_sum(U, V, u_gens, v_gens)
+        assert (U & V) == Subspace(n, [unit(n, i) for i in set(s) & set(t)])
+        # A coordinate subspace against a dense span.
+        w_gens = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n // 2 + 1)]
+        check_meet_and_sum(U, Subspace(n, w_gens), u_gens, w_gens)
+
+
+@pytest.mark.parametrize("n", [1, 4, 11])
+def test_meet_and_sum_with_zero_and_full_spaces_match_dense(n):
+    rng = random.Random(100 + n)
+    full_gens = [unit(n, i) for i in range(n)]
+    some_gens = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(max(1, n // 2))]
+    spaces = [([], Subspace.zero(n))] + [(g, Subspace(n, g)) for g in (full_gens, some_gens)]
+    for u_gens, U in spaces:
+        for v_gens, V in spaces:
+            check_meet_and_sum(U, V, u_gens, v_gens)
+    full = Subspace(n, full_gens)
+    assert (full & full) == full
+    assert (Subspace.zero(n) & full).dim == 0
 
 
 def test_kernel_and_solve_match_dense(grid):
@@ -182,3 +243,44 @@ def test_pair_returns_fraction_for_ints():
 def test_pair_refuses_floats(u, v):
     with pytest.raises(TypeError):
         TorusBoundarySpace(1).pair(u, v)
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [
+        lambda: RationalMatrix([[1.0]]),
+        lambda: Subspace(2, [[0.5, 0]]),
+        lambda: vector([Fraction(1), 0.5]),
+    ],
+    ids=["matrix", "subspace", "vector-after-a-fraction"],
+)
+def test_public_constructors_refuse_floats(construct):
+    with pytest.raises(TypeError, match="refusing float"):
+        construct()
+
+
+@pytest.mark.parametrize("r", [1, 2, 5])
+def test_is_isotropic_matches_dense_pairing(r):
+    # L+ of a boundary map is isotropic; the kernel of a random matrix
+    # and the meridians with one entry bumped are usually not.
+    rng = random.Random(r)
+    z = TorusBoundarySpace(r)
+    seen = set()
+    for _ in range(8):
+        classes = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(rng.randint(0, 4))]
+        grid = [[Fraction(rng.randint(-2, 2)) for _ in range(z.dim)] for _ in range(r + 1)]
+        bumped = [list(z.basis_m(i)) for i in range(r + 1)]
+        bumped[-1][rng.randrange(z.dim)] += 1
+        for vs in (
+            mapping_torus_boundary_map(r, classes).matrix.kernel().columns(),
+            RationalMatrix(grid).kernel().columns(),
+            bumped,
+        ):
+            expected = all(pair_dense(u, v) == 0 for u in vs for v in vs)
+            assert z.is_isotropic(vs) == expected
+            seen.add(expected)
+    assert seen == {True, False}
+    with pytest.raises(TypeError):
+        z.is_isotropic([[0.0] * z.dim])
+    with pytest.raises(ValueError):
+        z.is_isotropic([[0] * (z.dim + 1)])

@@ -51,6 +51,22 @@ class TestWallTriple:
         with pytest.raises(ValueError, match="isotropic"):
             WallTriple(space=z, l_minus=mixed, l_zero=lag, l_plus=lag)
 
+    def test_isotropy_reads_longitude_coordinates(self):
+        # r = 2, coordinates (m_0, l_0, m_1, l_1, m_2, l_2).  Every vector
+        # pairs to zero with itself.  m_1 + l_2 and l_0 + m_2 pair to -1,
+        # and only through l_2, an odd index; m_1 + l_2 and l_1 + m_2 pair
+        # to 1 - 1 = 0, which a wrongly signed or placed term would spoil.
+        z = TorusBoundarySpace(2)
+        l_minus = Subspace(z.dim, [z.basis_m(i) for i in range(3)])
+        l_zero = Subspace(z.dim, [z.basis_l(i) for i in range(3)])
+        a = [0, 0, 1, 0, 0, 1]
+        assert z.pair(a, [0, 1, 0, 0, 1, 0]) == -1
+        bad = Subspace(z.dim, [a, [0, 1, 0, 0, 1, 0]])
+        with pytest.raises(ValueError, match="l_plus is not isotropic"):
+            WallTriple(space=z, l_minus=l_minus, l_zero=l_zero, l_plus=bad)
+        good = Subspace(z.dim, [a, [0, 0, 0, 1, 1, 0]])
+        WallTriple(space=z, l_minus=l_minus, l_zero=l_zero, l_plus=good)
+
     def test_ambient_mismatch(self):
         z = TorusBoundarySpace(1)
         small = Subspace(2, [[1, 0]])
