@@ -80,13 +80,13 @@ class FibrationDocument:
             raise DocumentError(
                 "must be an integer >= 1", field="boundary_components"
             )
-        r = n - 1
+        surface = PlanarSurface(n - 1)
 
         raw_cycles = obj.get("vanishing_cycles", [])
         if not isinstance(raw_cycles, list):
             raise DocumentError("must be a list", field="vanishing_cycles")
         cycles = [
-            cls._parse_cycle(item, i, r) for i, item in enumerate(raw_cycles)
+            cls._parse_cycle(item, i, surface) for i, item in enumerate(raw_cycles)
         ]
 
         force = obj.get("force_non_allowable", False)
@@ -95,59 +95,29 @@ class FibrationDocument:
         return cls(boundary_components=n, cycles=cycles, force=force)
 
     @staticmethod
-    def _parse_cycle(item, index: int, r: int) -> CurveClass:
+    def _parse_cycle(item, index: int, surface: PlanarSurface) -> CurveClass:
+        """Check the JSON shape of one cycle; the library checks the curve."""
         where = f"vanishing_cycles[{index}]"
         if not isinstance(item, dict):
             raise DocumentError("must be an object", field=where)
-        keys = set(item)
-        if keys == {"encloses"}:
-            raw = item["encloses"]
-            if not isinstance(raw, list) or not all(
-                isinstance(i, int) and not isinstance(i, bool) for i in raw
-            ):
-                raise DocumentError(
-                    "must be a list of integers", field=f"{where}.encloses"
-                )
-            if len(set(raw)) != len(raw):
-                raise DocumentError(
-                    "indices must be distinct", field=f"{where}.encloses"
-                )
-            out_of_range = [i for i in raw if i < 0 or i > r]
-            if out_of_range:
-                raise DocumentError(
-                    f"index {out_of_range[0]} out of range 0..{r}",
-                    field=f"{where}.encloses",
-                )
-            if not raw:
-                raise DocumentError(
-                    "must be nonempty (an empty curve bounds)",
-                    field=f"{where}.encloses",
-                )
-            if len(raw) == r + 1:
-                raise DocumentError(
-                    "must be a proper subset (a curve around every boundary "
-                    "circle is null-homologous)",
-                    field=f"{where}.encloses",
-                )
-            return CurveClass.enclosing(raw)
-        if keys == {"class"}:
-            raw = item["class"]
-            if not isinstance(raw, list) or not all(
-                isinstance(c, int) and not isinstance(c, bool) for c in raw
-            ):
-                raise DocumentError(
-                    "must be a list of integers", field=f"{where}.class"
-                )
-            if len(raw) != r:
-                raise DocumentError(
-                    f"must have length {r} (one coefficient per non-distinguished "
-                    "boundary circle)",
-                    field=f"{where}.class",
-                )
-            return CurveClass.explicit(raw)
-        raise DocumentError(
-            'must have exactly one of the keys "encloses" or "class"', field=where
-        )
+        if set(item) not in ({"encloses"}, {"class"}):
+            raise DocumentError(
+                'must have exactly one of the keys "encloses" or "class"', field=where
+            )
+        ((key, raw),) = item.items()
+        field = f"{where}.{key}"
+        if not isinstance(raw, list):
+            raise DocumentError("must be a list of integers", field=field)
+        try:
+            if key == "class":
+                curve = CurveClass.explicit(raw)
+            else:
+                curve = CurveClass.enclosing(raw)
+                if len(curve.encloses) != len(raw):
+                    raise ValueError("indices must be distinct")
+            return surface.canonical_curve(curve)
+        except ValueError as e:
+            raise DocumentError(str(e), field=field) from None
 
     def to_fibration(self, force: bool = False) -> PlanarFibration:
         return PlanarFibration(

@@ -19,19 +19,21 @@ pivot row is normalized, and subtracted from the other rows, over the
 columns where it is nonzero.  Since x - f*0 == x and 0/lead == 0, this
 yields the same RREF, value for value, as dense elimination over the
 full width; the tests hold it to such a dense reference.  The other
-exact loops (``apply``, ``contains``, the quotient tracker and the
-congruence diagonalization) skip zero factors the same way.  Most
-entries the signature computations meet are zero, because two of the
-three subspaces of the standard triple are coordinate subspaces.
+exact loops (``apply``, ``contains`` and the congruence
+diagonalization) skip zero factors the same way.  Most entries the
+signature computations meet are zero, because two of the three
+subspaces of the standard triple are coordinate subspaces.
 
-Kernels and intersections take one elimination each.  A kernel is read
-off the RREF taken with the columns reversed, whose free-variable
-vectors already are the canonical basis.  An intersection is the
-kernel of both operands' equations, which are read off their canonical
-bases (a coordinate subspace gives one-entry equations).  Entries are
-coerced to Fraction once, at the public entry points; a Fraction passes
-through unchanged, and subspaces built from a basis that is already
-canonical skip coercion and checks altogether.
+Kernels, intersections and quotients take one elimination each.  A
+kernel is read off the RREF taken with the columns reversed, whose
+free-variable vectors already are the canonical basis.  An intersection
+is the kernel of both operands' equations, which are read off their
+canonical bases (a coordinate subspace gives one-entry equations).
+Representatives of a quotient N / D are the leftmost pivots of [D | N]
+past D's columns.  Entries are coerced to Fraction once, at the public
+entry points; a Fraction passes through unchanged, and subspaces built
+from a basis that is already canonical skip coercion and checks
+altogether.
 """
 
 from __future__ import annotations
@@ -68,10 +70,6 @@ def refuse_floats(*vectors: Sequence) -> None:
 def vector(entries: Iterable) -> Vector:
     """Coerce an iterable of exact numbers to a tuple of Fractions."""
     return tuple(_frac(x) for x in entries)
-
-
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
 
 
 def _echelonize(rows: list[list[Fraction]], reduced: bool = True,
@@ -304,9 +302,6 @@ def solve_many(M: RationalMatrix, rhs: Sequence[Sequence]) -> list[Vector | None
         if len(b) != M.n_rows:
             raise ValueError(f"right-hand side of length {len(b)} against {M.shape} matrix")
     aug = [list(row) + [b[i] for b in targets] for i, row in enumerate(M.to_rows())]
-    if not aug:
-        # No equations at all: x = 0 works iff each b is (vacuously) met.
-        return [zero_vector(M.n_cols) for _ in targets]
     pivots = _echelonize(aug, pivot_limit=M.n_cols)
     rank = len(pivots)
     out: list[Vector | None] = []
@@ -442,61 +437,24 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-class _EchelonTracker:
-    """Incrementally maintained reduced echelon basis (rows are mutually
-    reduced, so coefficient extraction is a single indexed read)."""
-
-    def __init__(self):
-        self.rows: dict[int, list[Fraction]] = {}
-
-    def residual(self, v: Sequence[Fraction]) -> list[Fraction]:
-        w = list(v)
-        for p, row in self.rows.items():
-            c = w[p]
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        w[j] -= c * x
-        return w
-
-    def add(self, v: Sequence[Fraction]) -> bool:
-        """Insert v; True iff it enlarged the span."""
-        w = self.residual(v)
-        support = [j for j, x in enumerate(w) if x]
-        if not support:
-            return False
-        p = support[0]
-        lead = w[p]
-        if lead != 1:
-            for j in support:
-                w[j] /= lead
-        for row in self.rows.values():
-            c = row[p]
-            if c:
-                for j in support:
-                    row[j] -= c * w[j]
-        self.rows[p] = w
-        return True
-
-
 def quotient_basis(numerator: Subspace, denominator: Subspace) -> list[Vector]:
     """Representatives in N spanning the quotient N / D.
 
-    D must be contained in N.  Representatives are picked
-    deterministically: walk N's canonical basis columns left to right
-    and keep each one that enlarges the span of D.  The result has
-    exactly dim N - dim D vectors, each lying in N.
+    D must be contained in N.  Both are read off one elimination of the
+    matrix [D | N], whose columns are D's canonical basis followed by
+    N's.  Its leftmost pivots are all of D's columns, which are
+    independent, and then each N column that enlarges the span of D and
+    the N columns before it: those N columns are the representatives,
+    in order.  The rank of [D | N] is dim(D + N), which equals dim N
+    exactly when D lies in N.
     """
     numerator._check_ambient(denominator)
-    for c in denominator.columns():
-        if not numerator.contains(c):
-            raise ValueError("denominator is not a subspace of the numerator")
-    tracker = _EchelonTracker()
-    for c in denominator.columns():
-        tracker.add(c)
-    reps = [c for c in numerator.columns() if tracker.add(c)]
-    assert len(reps) == numerator.dim - denominator.dim
-    return reps
+    offset = denominator.dim
+    rows = [list(d + n) for d, n in zip(denominator.basis._rows, numerator.basis._rows)]
+    pivots = _echelonize(rows, reduced=False)
+    if len(pivots) != numerator.dim:
+        raise ValueError("denominator is not a subspace of the numerator")
+    return [numerator.basis.column(p - offset) for p in pivots[offset:]]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import RationalMatrix, Vector, refuse_floats, vector
+from .linalg import Vector, refuse_floats, vector
 
 
 class NonAllowableCycleError(ValueError):
@@ -45,7 +45,11 @@ class NonAllowableCycleError(ValueError):
 class CurveClass:
     """A simple closed curve on a planar surface, up to homology.
 
-    Exactly one of ``encloses`` / ``coefficients`` is set.  ``sign``
+    Exactly one of ``encloses`` / ``coefficients`` is set, from any
+    iterable of ints (bools and every other type are refused), and is
+    stored as a frozenset or a tuple.  An enclosed set must be nonempty;
+    whether the curve fits a given surface (index range, proper subset,
+    coefficient count) is checked by ``PlanarSurface``.  ``sign``
     records an orientation flip picked up by canonicalization (the
     enclosed-set description of a curve has no preferred orientation;
     no exported invariant depends on it).
@@ -61,21 +65,33 @@ class CurveClass:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if self.encloses is not None:
-            if not self.encloses:
+            # Checked before hashing: {1, True} would collapse to {1}.
+            indices = tuple(self.encloses)
+            _refuse_non_integers(indices, "enclosed index")
+            if not indices:
                 raise ValueError("enclosed set must be nonempty")
-            if any(not isinstance(i, int) or i < 0 for i in self.encloses):
-                raise ValueError("enclosed indices must be nonnegative integers")
+            object.__setattr__(self, "encloses", frozenset(indices))
+        else:
+            coefficients = tuple(self.coefficients)
+            _refuse_non_integers(coefficients, "coefficient")
+            object.__setattr__(self, "coefficients", coefficients)
 
     @classmethod
     def enclosing(cls, indices: Iterable[int]) -> "CurveClass":
-        return cls(encloses=frozenset(indices))
+        return cls(encloses=indices)
 
     @classmethod
     def explicit(cls, coefficients: Sequence[int]) -> "CurveClass":
-        return cls(coefficients=tuple(int(c) for c in coefficients))
+        return cls(coefficients=coefficients)
 
     def negated(self) -> "CurveClass":
         return CurveClass(self.encloses, self.coefficients, -self.sign)
+
+
+def _refuse_non_integers(entries: Sequence, what: str) -> None:
+    for x in entries:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"{what} {x!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -96,30 +112,31 @@ class PlanarSurface:
             return (-1,) * self.r
         return tuple(1 if j == i else 0 for j in range(1, self.r + 1))
 
-    def _checked_subset(self, curve: CurveClass) -> frozenset[int]:
-        S = curve.encloses
-        assert S is not None
-        bad = [i for i in S if i > self.r]
-        if bad:
-            raise ValueError(f"enclosed index {bad[0]} out of range 0..{self.r}")
-        if len(S) == self.r + 1:
-            raise ValueError(
-                "curve enclosing every boundary circle is null-homologous; "
-                "the enclosed set must be a proper subset"
-            )
-        return S
-
-    def class_vector(self, curve: CurveClass) -> tuple[int, ...]:
-        """Homology vector of a curve in the basis (m_1, ..., m_r)."""
+    def _check_curve(self, curve: CurveClass) -> None:
+        """Raise ValueError unless the curve lies on this surface: one
+        coefficient per circle 1..r, or a proper subset of 0..r."""
         if curve.coefficients is not None:
             if len(curve.coefficients) != self.r:
                 raise ValueError(
                     f"coefficient vector of length {len(curve.coefficients)}, expected {self.r}"
                 )
+            return
+        bad = [i for i in curve.encloses if not 0 <= i <= self.r]
+        if bad:
+            raise ValueError(f"enclosed index {min(bad)} out of range 0..{self.r}")
+        if len(curve.encloses) == self.r + 1:
+            raise ValueError(
+                "curve enclosing every boundary circle is null-homologous; "
+                "the enclosed set must be a proper subset"
+            )
+
+    def class_vector(self, curve: CurveClass) -> tuple[int, ...]:
+        """Homology vector of a curve in the basis (m_1, ..., m_r)."""
+        self._check_curve(curve)
+        if curve.coefficients is not None:
             return tuple(curve.sign * c for c in curve.coefficients)
-        S = self._checked_subset(curve)
         v = [0] * self.r
-        for i in S:
+        for i in curve.encloses:
             for j, c in enumerate(self.boundary_class(i)):
                 v[j] += c
         return tuple(curve.sign * c for c in v)
@@ -130,16 +147,10 @@ class PlanarSurface:
         When the given set contains 0 it is replaced by its complement,
         which represents the opposite orientation, so the sign flips.
         """
-        if curve.coefficients is not None:
-            if len(curve.coefficients) != self.r:
-                raise ValueError(
-                    f"coefficient vector of length {len(curve.coefficients)}, expected {self.r}"
-                )
+        self._check_curve(curve)
+        if curve.encloses is None or 0 not in curve.encloses:
             return curve
-        S = self._checked_subset(curve)
-        if 0 not in S:
-            return curve
-        complement = frozenset(range(self.r + 1)) - S
+        complement = frozenset(range(self.r + 1)) - curve.encloses
         return CurveClass(encloses=complement, sign=-curve.sign)
 
 
@@ -182,14 +193,6 @@ class TorusBoundarySpace:
         v = [Fraction(0)] * self.dim
         v[self.l_index(i)] = Fraction(1)
         return tuple(v)
-
-    def pairing_matrix(self) -> RationalMatrix:
-        n = self.dim
-        grid = [[0] * n for _ in range(n)]
-        for i in range(self.r + 1):
-            grid[2 * i][2 * i + 1] = 1
-            grid[2 * i + 1][2 * i] = -1
-        return RationalMatrix(grid)
 
     def pair(self, u: Sequence, v: Sequence) -> Fraction:
         """Intersection pairing Q(u, v); skew so Q(u, v) = -Q(v, u).

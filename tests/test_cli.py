@@ -224,6 +224,37 @@ class TestValidation:
         err = capsys.readouterr().err
         assert fragment in err
 
+    @pytest.mark.parametrize(
+        "key, entries",
+        [
+            ("encloses", [5]),
+            ("encloses", [-1]),
+            ("encloses", []),
+            ("encloses", [0, 1, 2]),
+            ("class", [1]),
+            ("class", [1.5, 0]),
+            ("encloses", [1.5]),
+        ],
+        ids=[
+            "index-out-of-range",
+            "negative-index",
+            "empty-set",
+            "full-set",
+            "wrong-class-length",
+            "float-class-entry",
+            "float-index",
+        ],
+    )
+    def test_geometric_rejection_uses_library_message(self, capsys, feed_stdin, key, entries):
+        make = CurveClass.enclosing if key == "encloses" else CurveClass.explicit
+        with pytest.raises(ValueError) as expected:
+            PlanarSurface(2).class_vector(make(entries))
+        feed_stdin({"boundary_components": 3, "vanishing_cycles": [{key: entries}]})
+        assert main(["compute", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: vanishing_cycles[0].{key}: {expected.value}\n"
+
     def test_null_homologous_without_force(self, capsys, feed_stdin):
         doc = {"boundary_components": 3, "vanishing_cycles": [{"class": [0, 0]}]}
         feed_stdin(doc)

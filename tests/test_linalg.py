@@ -240,6 +240,9 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_many(RationalMatrix.identity(2), [[1, 2, 3]])
 
+    def test_no_equations_gives_zero_solution(self):
+        assert solve_many(RationalMatrix([], n_cols=3), [[]]) == [(0, 0, 0)]
+
     def test_solutions_verify_and_consistency_matches_rank(self):
         rng = random.Random(29)
         for _ in range(60):

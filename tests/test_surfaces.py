@@ -3,10 +3,7 @@ from itertools import chain, combinations
 
 import pytest
 
-from planarsig.linalg import vector
 from planarsig.surfaces import CurveClass, PlanarSurface, TorusBoundarySpace
-
-from oracles import det_cofactor
 
 
 def proper_subsets(r):
@@ -24,6 +21,26 @@ class TestCurveClass:
     def test_empty_enclosure_rejected(self):
         with pytest.raises(ValueError):
             CurveClass.enclosing(set())
+
+    @pytest.mark.parametrize(
+        "make, entries",
+        [
+            (CurveClass.explicit, [1.5, 0]),
+            (CurveClass.explicit, ["3", True]),
+            (CurveClass.explicit, [[1], 0]),
+            (CurveClass.enclosing, [True]),
+            (CurveClass.enclosing, [1, True]),
+            (CurveClass.enclosing, [1, 1.0]),
+            (CurveClass.enclosing, [[1]]),
+        ],
+    )
+    def test_non_integer_entries_rejected(self, make, entries):
+        with pytest.raises(ValueError, match="is not an integer"):
+            make(entries)
+
+    def test_entries_stored_exactly(self):
+        assert CurveClass.explicit([3, -1]).coefficients == (3, -1)
+        assert CurveClass.enclosing([2, 1]).encloses == frozenset({1, 2})
 
     def test_negation_flips_sign(self):
         c = CurveClass.enclosing({1, 2})
@@ -52,6 +69,10 @@ class TestClassVector:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             PlanarSurface(2).class_vector(CurveClass.enclosing({3}))
+
+    def test_negative_index_out_of_range(self):
+        with pytest.raises(ValueError, match="enclosed index -1 out of range 0..2"):
+            PlanarSurface(2).class_vector(CurveClass.enclosing({-1, 1}))
 
     def test_full_enclosure_rejected(self):
         with pytest.raises(ValueError):
@@ -88,6 +109,23 @@ class TestCanonicalCurve:
         assert canon.sign == -1
         assert s.class_vector(canon) == s.class_vector(c)
 
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            CurveClass.enclosing({3}),
+            CurveClass.enclosing({-1}),
+            CurveClass.enclosing({0, 1, 2}),
+            CurveClass.explicit([1]),
+        ],
+    )
+    def test_rejects_what_class_vector_rejects(self, curve):
+        s = PlanarSurface(2)
+        with pytest.raises(ValueError) as from_vector:
+            s.class_vector(curve)
+        with pytest.raises(ValueError) as from_canonical:
+            s.canonical_curve(curve)
+        assert str(from_canonical.value) == str(from_vector.value)
+
     def test_idempotent(self):
         s = PlanarSurface(4)
         for subset in proper_subsets(4):
@@ -121,21 +159,6 @@ class TestTorusBoundarySpace:
             v = [rng.randint(-4, 4) for _ in range(z.dim)]
             assert z.pair(u, v) == -z.pair(v, u)
             assert z.pair(u, u) == 0
-
-    def test_pairing_matrix_unimodular(self):
-        for r in range(3):
-            P = TorusBoundarySpace(r).pairing_matrix()
-            assert abs(det_cofactor(P.to_rows())) == 1
-
-    def test_pair_matches_matrix(self):
-        rng = random.Random(6)
-        z = TorusBoundarySpace(2)
-        P = z.pairing_matrix()
-        for _ in range(10):
-            u = vector([rng.randint(-3, 3) for _ in range(z.dim)])
-            v = vector([rng.randint(-3, 3) for _ in range(z.dim)])
-            expected = sum(a * b for a, b in zip(u, P.apply(v)))
-            assert z.pair(u, v) == expected
 
 
 class TestEmbedding:
