@@ -9,7 +9,9 @@ Subcommands:
   around each pair of holes; y2: boundary-parallel cycles with
   multiplicity) and report on it.
 * ``fuzz``     -- seeded random fibrations through the whole invariant
-  battery; failures reproduce from the printed document.
+  battery; failures reproduce from the printed document.  An exception
+  inside one instance is recorded as a failed check named
+  ``exception`` instead of ending the run.
 
 Exit codes: 0 success, 1 fuzz property violation, 2 parse/validation
 error, 3 null-homologous cycle without --force, 4 internal signature
@@ -33,7 +35,7 @@ from .fibration import (
     family_y2,
 )
 from .linalg import RationalMatrix
-from .properties import CHECK_NAMES, check_fibration, random_fibration
+from .properties import CHECK_NAMES, CheckResult, check_fibration, random_fibration
 from .surfaces import CurveClass, NonAllowableCycleError, PlanarSurface
 from .wall import standard_triple, wall_correction
 
@@ -125,17 +127,16 @@ class FibrationDocument:
         )
 
     def echo(self) -> dict:
-        """Canonical form of the document: enclosed sets are sorted and
-        never contain circle 0 (a curve and its complementary
-        description are the same unoriented curve)."""
-        surface = PlanarSurface(self.r)
-        cycles = []
-        for c in self.cycles:
-            if c.encloses is not None:
-                canonical = surface.canonical_curve(c)
-                cycles.append({"encloses": sorted(canonical.encloses)})
-            else:
-                cycles.append({"class": [c.sign * x for x in c.coefficients]})
+        """The document as JSON: enclosed sets sorted, explicit classes
+        with their sign applied.  The cycles are canonical (enclosed
+        sets never contain circle 0), as ``from_obj`` and
+        ``document_for`` build them."""
+        cycles = [
+            {"encloses": sorted(c.encloses)}
+            if c.encloses is not None
+            else {"class": [c.sign * x for x in c.coefficients]}
+            for c in self.cycles
+        ]
         return {
             "boundary_components": self.boundary_components,
             "vanishing_cycles": cycles,
@@ -156,9 +157,10 @@ def load_document(text: str) -> FibrationDocument:
 
 
 def document_for(fib: PlanarFibration) -> FibrationDocument:
+    """The document of a fibration, its cycles canonicalized once."""
     return FibrationDocument(
         boundary_components=fib.surface.r + 1,
-        cycles=list(fib.cycles),
+        cycles=[fib.surface.canonical_curve(c) for c in fib.cycles],
         force=fib.force,
     )
 
@@ -322,7 +324,12 @@ def cmd_fuzz(args) -> int:
     checks_run = 0
     for index in range(args.count):
         fib = random_fibration(rng, args.max_r, args.max_m)
-        for result in check_fibration(fib, rng):
+        try:
+            results = check_fibration(fib, rng)
+        except Exception as e:  # a crash is one failed check of this instance
+            text = " ".join(f"{type(e).__name__}: {e}".splitlines())
+            results = [CheckResult("exception", False, text)]
+        for result in results:
             checks_run += 1
             if result.passed:
                 passed[result.name] += 1

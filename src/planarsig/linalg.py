@@ -14,15 +14,23 @@ such basis of a given span (it is the reduced row echelon form of the
 transposed generator matrix), so two subspaces are equal iff their
 basis grids are identical.
 
-Elimination touches only the nonzero entries of the pivot row: the
-pivot row is normalized, and subtracted from the other rows, over the
-columns where it is nonzero.  Since x - f*0 == x and 0/lead == 0, this
-yields the same RREF, value for value, as dense elimination over the
-full width; the tests hold it to such a dense reference.  The other
-exact loops (``apply``, ``contains`` and the congruence
-diagonalization) skip zero factors the same way.  Most entries the
-signature computations meet are zero, because two of the three
-subspaces of the standard triple are coordinate subspaces.
+Elimination runs on integers.  ``_echelonize`` turns each input row
+once into a sparse primitive integer row (``integer_row``): the row's
+nonzero entries times the lcm of their denominators, divided by their
+gcd, held as a map from column to int.  A pivot row with entry ``lead``
+in column c clears the entry f of another row by
+row := (lead/g) row - (f/g) pivot with g = gcd(lead, f), and the row's
+content is divided out again.  Clearing a column commutes with scaling
+rows by nonzero numbers, so every integer row stays a nonzero multiple
+of the row that ``Fraction`` elimination would hold at the same step.
+Writing a pivot row back as its entries over its pivot entry therefore
+gives the RREF value for value; the tests hold it to a dense
+``Fraction`` reference.  The congruence diagonalization of
+``symmetric_signature`` and the isotropy check of the torus pairing
+clear denominators the same way and then stay in integers; ``apply``
+and ``contains`` skip zero factors.  Most entries the signature
+computations meet are zero, because two of the three subspaces of the
+standard triple are coordinate subspaces, so sparse rows touch little.
 
 Kernels, intersections and quotients take one elimination each.  A
 kernel is read off the RREF taken with the columns reversed, whose
@@ -40,6 +48,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -72,6 +82,29 @@ def vector(entries: Iterable) -> Vector:
     return tuple(_frac(x) for x in entries)
 
 
+def integer_row(row: Sequence) -> tuple[int, dict[int, int]]:
+    """The nonzero entries of ``row`` as integers: ``(s, {column: s * x})``,
+    where s >= 1 is the lcm of their denominators.
+
+    Entries are ints or Fractions; an all-zero row gives ``(1, {})``.
+    """
+    columns = list(compress(range(len(row)), row))
+    scale = lcm(*(row[j].denominator for j in columns))
+    if scale == 1:
+        return 1, {j: row[j].numerator for j in columns}
+    return scale, {j: row[j].numerator * (scale // row[j].denominator) for j in columns}
+
+
+def _divide_content(row: dict[int, int]) -> int:
+    """Divide an integer row by the gcd of its entries, in place, and
+    return that gcd (1 for a zero row)."""
+    g = gcd(*row.values()) or 1
+    if g != 1:
+        for j in row:
+            row[j] //= g
+    return g
+
+
 def _echelonize(rows: list[list[Fraction]], reduced: bool = True,
                 pivot_limit: int | None = None) -> list[int]:
     """Row-reduce ``rows`` in place with leftmost pivots.
@@ -81,39 +114,81 @@ def _echelonize(rows: list[list[Fraction]], reduced: bool = True,
     is how augmented systems keep their right-hand sides out of the
     pivot set; row operations always span the full width.  With
     ``reduced`` the result is the unique RREF: pivots are normalized to
-    1 and cleared above as well as below.
+    1 and cleared above as well as below.  Without it, rows above a
+    pivot keep their entry in its column.
+
+    The work is done on primitive integer rows (see the module
+    docstring), each a nonzero multiple of the row that ``Fraction``
+    elimination would hold at the same step; the rows are written back
+    as Fractions at the end, value for value what ``Fraction``
+    elimination gives.  A pivot row is its integer row over its pivot
+    entry.  A row left without a pivot, which only ``pivot_limit``
+    leaves nonzero, is its integer row times the rational factor
+    ``num / den`` tracked for it through every step.
     """
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     limit = n_cols if pivot_limit is None else pivot_limit
+    work: list[dict[int, int]] = []
+    num: list[int] = []
+    den: list[int] = []
+    for row in rows:
+        scale, w = integer_row(row)
+        work.append(w)
+        num.append(_divide_content(w))
+        den.append(scale)
     pivots: list[int] = []
     rank = 0
     for c in range(limit):
         if rank == n_rows:
             break
-        p = next((i for i in range(rank, n_rows) if rows[i][c]), None)
+        p = next((i for i in range(rank, n_rows) if c in work[i]), None)
         if p is None:
             continue
         if p != rank:
-            rows[rank], rows[p] = rows[p], rows[rank]
-        row_r = rows[rank]
-        lead = row_r[c]
-        # Columns left of c are zero in every row not yet used as a pivot.
-        support = [j for j in range(c, n_cols) if row_r[j]]
-        if lead != 1:
-            for j in support:
-                row_r[j] /= lead
+            work[rank], work[p] = work[p], work[rank]
+            num[rank], num[p] = num[p], num[rank]
+            den[rank], den[p] = den[p], den[rank]
+        pivot = work[rank]
+        lead = pivot[c]
         span = range(n_rows) if reduced else range(rank + 1, n_rows)
         for i in span:
-            if i == rank:
+            row = work[i]
+            f = row.get(c)
+            if f is None or i == rank:
                 continue
-            row_i = rows[i]
-            f = row_i[c]
-            if f:
-                for j in support:
-                    row_i[j] -= f * row_r[j]
+            # Clear column c by row := (lead/g) row - (f/g) pivot, which is
+            # lead/g times the step of Fraction elimination, then divide
+            # out the content h.  Only a row that may end without a pivot
+            # needs its factor num/den to the Fraction row kept up to date.
+            g = gcd(lead, f)
+            a, b = lead // g, f // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            for j, x in pivot.items():
+                y = row.get(j, 0) - b * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+            h = _divide_content(row)
+            if i > rank:
+                num[i] *= g * h
+                den[i] *= lead
         pivots.append(c)
         rank += 1
+    zero = Fraction(0)
+    for i, row in enumerate(work):
+        out = [zero] * n_cols
+        if i < rank:
+            lead = row[pivots[i]]
+            for j, x in row.items():
+                out[j] = Fraction(x, lead)
+        else:
+            for j, x in row.items():
+                out[j] = Fraction(x * num[i], den[i])
+        rows[i] = out
     return pivots
 
 
@@ -480,27 +555,36 @@ class SignatureTriple:
 def symmetric_signature(S: RationalMatrix) -> SignatureTriple:
     """Inertia of an exactly symmetric matrix by congruence diagonalization.
 
-    Repeatedly pivots on a nonzero diagonal entry of the active block
-    and clears its row and column with paired row/column operations.
-    When the active diagonal is all zero but some off-diagonal entry
-    S[i][j] is not, adding row j to row i and column j to column i
-    makes the (i,i) entry 2*S[i][j] != 0 and restores a usable pivot.
-    Sylvester's law of inertia makes the sign counts independent of
-    the choices made.
+    Row i and column i are first scaled by s_i, the lcm of row i's
+    denominators.  That is the congruence D S D with D = diag(s), whose
+    entries s_i s_j S[i][j] are integers (by symmetry the denominator of
+    S[i][j] divides s_j), and D is positive definite, so by Sylvester's
+    law of inertia the sign counts do not change.  The elimination then
+    stays in integers: a nonzero diagonal pivot d of the active block
+    counts by its sign, and the trailing block B is replaced by
+    |d| (B - v v^T / d) = |d| B - sign(d) v v^T, a positive multiple of
+    the Schur complement, with its content divided out.  When the
+    active diagonal is all zero but some off-diagonal entry A[i][j] is
+    not, adding row j to row i and column j to column i makes the (i,i)
+    entry 2*A[i][j] != 0 and restores a usable pivot.
     """
     n = S.n_rows
     if n != S.n_cols:
         raise ValueError(f"matrix of shape {S.shape} is not square")
     if not S.is_symmetric():
         raise ValueError("matrix is not exactly symmetric")
-    A = S.to_rows()
+    scaled = [integer_row(row) for row in S._rows]
+    A = [[0] * n for _ in range(n)]
+    for row, (_, entries) in zip(A, scaled):
+        for j, x in entries.items():
+            row[j] = x * scaled[j][0]
     n_plus = n_minus = 0
     k = 0
     while k < n:
-        p = next((i for i in range(k, n) if A[i][i] != 0), None)
+        p = next((i for i in range(k, n) if A[i][i]), None)
         if p is None:
             spot = next(
-                ((i, j) for i in range(k, n) for j in range(i + 1, n) if A[i][j] != 0),
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if A[i][j]),
                 None,
             )
             if spot is None:
@@ -520,18 +604,25 @@ def symmetric_signature(S: RationalMatrix) -> SignatureTriple:
             n_plus += 1
         else:
             n_minus += 1
-        for i in range(k + 1, n):
-            f = A[i][k]
+        v = A[k]
+        rest = range(k + 1, n)
+        support = [(c, v[c]) for c in rest if v[c]]
+        scale, sign = abs(d), (1 if d > 0 else -1)
+        for i in rest:
+            row = A[i]
+            if scale != 1:
+                for c in rest:
+                    row[c] *= scale
+            f = v[i]
             if f:
-                f /= d
-                row_k, row_i = A[k], A[i]
-                for c in range(k, n):
-                    x = row_k[c]
-                    if x:
-                        row_i[c] -= f * x
-                for r in range(k, n):
-                    x = A[r][k]
-                    if x:
-                        A[r][i] -= f * x
+                f *= sign
+                for c, x in support:
+                    row[c] -= f * x
+        content = gcd(*(A[i][c] for i in rest for c in rest))
+        if content > 1:
+            for i in rest:
+                row = A[i]
+                for c in rest:
+                    row[c] //= content
         k += 1
     return SignatureTriple(n_plus, n_minus, n - n_plus - n_minus)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import Vector, refuse_floats, vector
+from .linalg import Vector, integer_row, refuse_floats, vector
 
 
 class NonAllowableCycleError(ValueError):
@@ -104,14 +104,6 @@ class PlanarSurface:
         if self.r < 0:
             raise ValueError("boundary count parameter r must be >= 0")
 
-    def boundary_class(self, i: int) -> tuple[int, ...]:
-        """Class of boundary circle i in the basis (m_1, ..., m_r)."""
-        if not 0 <= i <= self.r:
-            raise ValueError(f"boundary index {i} out of range 0..{self.r}")
-        if i == 0:
-            return (-1,) * self.r
-        return tuple(1 if j == i else 0 for j in range(1, self.r + 1))
-
     def _check_curve(self, curve: CurveClass) -> None:
         """Raise ValueError unless the curve lies on this surface: one
         coefficient per circle 1..r, or a proper subset of 0..r."""
@@ -135,11 +127,18 @@ class PlanarSurface:
         self._check_curve(curve)
         if curve.coefficients is not None:
             return tuple(curve.sign * c for c in curve.coefficients)
-        v = [0] * self.r
-        for i in curve.encloses:
-            for j, c in enumerate(self.boundary_class(i)):
-                v[j] += c
-        return tuple(curve.sign * c for c in v)
+        # Circle i >= 1 has class m_i and circle 0 has -(m_1 + ... + m_r),
+        # so a set holding 0 sums to minus the circles 1..r it leaves out.
+        sign = curve.sign
+        if 0 in curve.encloses:
+            v = [-sign] * self.r
+            for i in curve.encloses - {0}:
+                v[i - 1] = 0
+        else:
+            v = [0] * self.r
+            for i in curve.encloses:
+                v[i - 1] = sign
+        return tuple(v)
 
     def canonical_curve(self, curve: CurveClass) -> CurveClass:
         """Normal form: enclosed sets never contain circle 0.
@@ -220,19 +219,23 @@ class TorusBoundarySpace:
     def is_isotropic(self, vectors: Sequence[Sequence]) -> bool:
         """True iff Q(u, v) = 0 for every pair of the given vectors.
 
-        Same checks as ``pair``, but each vector's nonzero entries are
-        collected once, as the sparse vector Ju with Q(u, v) = Ju . v:
-        m_i pairs with the l_i entry of v and l_i, negated, with its m_i
-        entry.  Q(u, u) = 0 by skew-symmetry, so only distinct pairs are
-        summed.
+        Same checks as ``pair``.  Each vector is first scaled by the
+        positive lcm of its denominators (``integer_row``); Q is
+        bilinear, so a nonzero scaling of u or v does not change whether
+        Q(u, v) is zero, and the pairings are summed in integers.  Each
+        vector's nonzero entries are collected once, as the sparse
+        vector Ju with Q(u, v) = Ju . v: m_i pairs with the l_i entry of
+        v and l_i, negated, with its m_i entry.  Q(u, u) = 0 by
+        skew-symmetry, so only distinct pairs are summed.
         """
         if any(len(u) != self.dim for u in vectors):
             raise ValueError(f"vectors must have length {self.dim}")
         refuse_floats(*vectors)
-        for k, u in enumerate(vectors):
-            ju = [(i + 1, a) if i % 2 == 0 else (i - 1, -a) for i, a in enumerate(u) if a]
-            for v in vectors[:k]:
-                if sum((a * v[j] for j, a in ju if v[j]), Fraction(0)):
+        scaled = [integer_row(u)[1] for u in vectors]
+        for k, u in enumerate(scaled):
+            ju = [(i + 1, a) if i % 2 == 0 else (i - 1, -a) for i, a in u.items()]
+            for v in scaled[:k]:
+                if sum(a * v[j] for j, a in ju if j in v):
                     return False
         return True
 

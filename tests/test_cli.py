@@ -362,6 +362,9 @@ class TestExamples:
         assert main(["examples", "--family", "y2", "--r", "4"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["report"]["sigma"] == -11
+        # The cycle around circle 0 is echoed as its complement.
+        assert out["document"]["vanishing_cycles"][0] == {"encloses": [1, 2, 3, 4, 5]}
+        assert out["document"] == out["report"]["input"]
 
     def test_small_parameter_rejected(self, capsys):
         assert main(["examples", "--family", "y1", "--r", "1"]) == 2
@@ -408,6 +411,40 @@ class TestFuzz:
 
     def test_negative_bounds_rejected(self, capsys):
         assert main(["fuzz", "--count", "-1"]) == 2
+
+    def test_exception_in_an_instance_is_a_failure(self, capsys, monkeypatch):
+        import planarsig.properties as properties
+
+        real = properties.lplus_closed_form
+        seen = []
+
+        def crash_on_second_instance(r, vectors):
+            seen.append((r, [tuple(v) for v in vectors]))
+            if len(seen) == 2:
+                raise ArithmeticError("first line\nsecond line")
+            return real(r, vectors)
+
+        monkeypatch.setattr(properties, "lplus_closed_form", crash_on_second_instance)
+        args = ["fuzz", "--seed", "3", "--count", "4", "--max-r", "4", "--max-m", "6"]
+        assert main(args) == 1
+        out = json.loads(capsys.readouterr().out)
+        (failure,) = out["failures"]
+        assert failure["instance"] == 1
+        assert failure["check"] == "exception"
+        assert failure["detail"] == "ArithmeticError: first line second line"
+        assert out["ok"] is False
+        assert out["checks_failed"] == 1
+        assert out["checks_passed"] == out["checks_run"] - out["checks_failed"]
+        assert list(out["passed_by_check"]) == CHECK_NAMES
+        # The document reproduces the instance that crashed, up to the
+        # orientation of cycles whose enclosed set held circle 0.
+        r, vectors = seen[1]
+        doc = load_document(json.dumps(failure["document"]))
+        assert doc.r == r
+        reloaded = doc.to_fibration().class_vectors()
+        assert len(reloaded) == len(vectors)
+        for v, w in zip(reloaded, vectors):
+            assert v in (w, tuple(-x for x in w))
 
     def test_check_names_list_the_battery(self):
         # The summary counts passes under CHECK_NAMES, so the list must

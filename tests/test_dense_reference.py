@@ -1,7 +1,8 @@
-"""The exact kernels skip zero entries and read kernels and
-intersections off a single elimination; the dense references in
-``oracles`` do neither.  Both must give the same values on seeded
-sparse and dense matrices, integer and rational, up to 40 x 80."""
+"""The exact kernels skip zero entries, eliminate on integer rows, and
+read kernels and intersections off a single elimination; the dense
+references in ``oracles`` do none of that.  Both must give the same
+values on seeded sparse and dense matrices, integer and rational, up to
+40 x 80, and on inputs whose denominators reach about 10^12."""
 
 import random
 from fractions import Fraction
@@ -94,6 +95,60 @@ def test_echelonize_matches_dense(grid):
         ref = [list(row) for row in grid]
         assert _echelonize(ours, reduced, limit) == echelonize_dense(ref, reduced, limit)
         assert ours == ref
+
+
+def test_echelonize_unreduced_with_pivot_limit_matches_dense(grid):
+    n_cols = len(grid[0])
+    ours = [list(row) for row in grid]
+    ref = [list(row) for row in grid]
+    assert _echelonize(ours, False, n_cols // 2) == echelonize_dense(ref, False, n_cols // 2)
+    assert ours == ref
+
+
+def big_fraction(rng):
+    """A nonzero Fraction whose numerator and denominator reach about 10^12."""
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**12), rng.randint(1, 10**12))
+
+
+def big_grid(rng, n_rows, n_cols, density):
+    """Like ``random_grid``, with entries from ``big_fraction`` and the
+    dependent rows combinations of two earlier rows with such
+    coefficients."""
+    free = n_rows - n_rows // 3
+    grid = [
+        [big_fraction(rng) if rng.random() < density else Fraction(0) for _ in range(n_cols)]
+        for _ in range(free)
+    ]
+    while len(grid) < n_rows:
+        a, b = rng.sample(range(free), 2)
+        s, t = big_fraction(rng), big_fraction(rng)
+        grid.append([s * x + t * y for x, y in zip(grid[a], grid[b])])
+    rng.shuffle(grid)
+    return grid
+
+
+BIG_SHAPES = ((6, 9), (17, 11), (12, 24))
+
+
+@pytest.mark.parametrize("shape", BIG_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("density", DENSITIES)
+def test_large_denominators_match_dense(shape, density):
+    n_rows, n_cols = shape
+    rng = random.Random(1000 * n_rows + n_cols + int(10 * density))
+    grid = big_grid(rng, n_rows, n_cols, density)
+    for reduced in (True, False):
+        for limit in (None, n_cols // 2):
+            ours = [list(row) for row in grid]
+            ref = [list(row) for row in grid]
+            assert _echelonize(ours, reduced, limit) == echelonize_dense(ref, reduced, limit)
+            assert ours == ref
+    M = RationalMatrix(grid)
+    assert Subspace(n_cols, grid).columns() == tuple(rref_dense(grid))
+    assert M.rank() == len(rref_dense(grid))
+    assert M.kernel().columns() == tuple(kernel_dense(grid, n_cols))
+    consistent = M.apply([big_fraction(rng) for _ in range(n_cols)])
+    rhs = [consistent, [big_fraction(rng) for _ in range(n_rows)]]
+    assert solve_many(M, rhs) == solve_dense(grid, n_cols, rhs)
 
 
 @pytest.mark.parametrize("case", CASES + LARGE_CASES, ids=case_id)
@@ -210,6 +265,61 @@ def test_symmetric_signature_matches_dense(density, rational):
             assert got == inertia_dense(S)
 
 
+def gram(columns, n):
+    """B B^T for the n x len(columns) matrix B with these columns."""
+    return [[sum(c[i] * c[j] for c in columns) for j in range(n)] for i in range(n)]
+
+
+def congruent(S, P):
+    """P^T S P."""
+    n = len(S)
+    SP = [[sum(S[i][k] * P[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(P[k][i] * SP[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 13])
+def test_symmetric_signature_matches_dense_on_psi_like_grams(n):
+    # Psi is congruent to the Gram matrix B B^T of the cycle classes,
+    # and carries large denominators.  Positive semidefinite, negative
+    # semidefinite and indefinite Grams of +-1 class vectors go through
+    # random congruences with entries from ``big_fraction``, which are
+    # invertible or not as chance has it; the dense reference decides.
+    rng = random.Random(n)
+    for _ in range(3):
+        classes = [
+            [rng.choice((-1, 0, 0, 1)) for _ in range(n)] for _ in range(rng.randint(1, 2 * n))
+        ]
+        half = len(classes) // 2
+        plus = gram(classes, n)
+        mixed = [
+            [a - b for a, b in zip(ra, rb)]
+            for ra, rb in zip(gram(classes[:half], n), gram(classes[half:], n))
+        ]
+        for G in (plus, [[-x for x in row] for row in plus], mixed):
+            P = [
+                [big_fraction(rng) if rng.random() < 0.5 else Fraction(0) for _ in range(n)]
+                for _ in range(n)
+            ]
+            diagonal = [
+                [big_fraction(rng) if i == j else Fraction(0) for j in range(n)] for i in range(n)
+            ]
+            for S in (congruent(G, P), congruent(G, diagonal)):
+                assert symmetric_signature(RationalMatrix(S)).as_tuple() == inertia_dense(S)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_symmetric_signature_matches_dense_on_zero_diagonals(n):
+    rng = random.Random(50 + n)
+    for density in DENSITIES:
+        for _ in range(4):
+            S = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < density:
+                        S[i][j] = S[j][i] = big_fraction(rng)
+            assert symmetric_signature(RationalMatrix(S)).as_tuple() == inertia_dense(S)
+
+
 @pytest.mark.parametrize("density", DENSITIES)
 def test_pair_matches_dense_formula(density):
     rng = random.Random(int(density * 10))
@@ -284,3 +394,32 @@ def test_is_isotropic_matches_dense_pairing(r):
         z.is_isotropic([[0.0] * z.dim])
     with pytest.raises(ValueError):
         z.is_isotropic([[0] * (z.dim + 1)])
+
+
+@pytest.mark.parametrize("r", [1, 3, 6])
+def test_is_isotropic_matches_dense_pairing_with_large_denominators(r):
+    # L+ stays isotropic when each column is scaled by a Fraction with a
+    # large denominator; adding 1/q of a basis vector to one column
+    # usually breaks that, by a pairing as small as 1/q.
+    rng = random.Random(200 + r)
+    z = TorusBoundarySpace(r)
+    seen = set()
+    for _ in range(6):
+        classes = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(rng.randint(0, 4))]
+        lplus = mapping_torus_boundary_map(r, classes).matrix.kernel().columns()
+        scales = [big_fraction(rng) for _ in lplus]
+        scaled = [tuple(s * x for x in c) for s, c in zip(scales, lplus)]
+        bumped = [list(c) for c in scaled]
+        bump = Fraction(1, rng.randint(2, 10**12))
+        bumped[rng.randrange(len(bumped))][rng.randrange(z.dim)] += bump
+        for vs in (scaled, bumped):
+            expected = all(pair_dense(u, v) == 0 for u in vs for v in vs)
+            assert z.is_isotropic(vs) == expected
+            seen.add(expected)
+    assert seen == {True, False}
+    q = 10**12 + 39
+    u = [Fraction(0)] * z.dim
+    v = [Fraction(0)] * z.dim
+    u[z.m_index(r)], v[z.l_index(r)] = Fraction(1, q), Fraction(1)
+    assert pair_dense(u, v) == Fraction(1, q)
+    assert not z.is_isotropic([u, v])
