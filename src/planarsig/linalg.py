@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream rests on this module: dense matrices with
-``fractions.Fraction`` entries, subspaces of Q^n held in a canonical
-basis, linear solving, and signatures of symmetric bilinear forms by
+``fractions.Fraction`` entries, subspaces of Q^n in a canonical form,
+linear solving, and signatures of symmetric bilinear forms by
 exact congruence diagonalization.  There are no floats and no
 tolerances anywhere.
 
@@ -11,37 +11,42 @@ every basis column has a leading 1 (its pivot coordinate), pivot
 coordinates strictly increase from one column to the next, and a pivot
 coordinate is zero in every other basis column.  This is the unique
 such basis of a given span (it is the reduced row echelon form of the
-transposed generator matrix), so two subspaces are equal iff their
-basis grids are identical.
+transposed generator matrix).
 
-Elimination runs on integers.  ``_echelonize`` turns each input row
-once into a sparse primitive integer row (``integer_row``): the row's
-nonzero entries times the lcm of their denominators, divided by their
-gcd, held as a map from column to int.  A pivot row with entry ``lead``
-in column c clears the entry f of another row by
+Elimination runs on integers.  An integer row is a map from column to
+nonzero int; ``integer_row`` turns a row of ints and Fractions into one
+by multiplying with the lcm of its denominators, and it is primitive
+once the gcd of its entries is divided out.  A pivot row with entry
+``lead`` in column c clears the entry f of another row by
 row := (lead/g) row - (f/g) pivot with g = gcd(lead, f), and the row's
-content is divided out again.  Clearing a column commutes with scaling
-rows by nonzero numbers, so every integer row stays a nonzero multiple
-of the row that ``Fraction`` elimination would hold at the same step.
-Writing a pivot row back as its entries over its pivot entry therefore
-gives the RREF value for value; the tests hold it to a dense
-``Fraction`` reference.  The congruence diagonalization of
-``symmetric_signature`` and the isotropy check of the torus pairing
-clear denominators the same way and then stay in integers; ``apply``
-and ``contains`` skip zero factors.  Most entries the signature
-computations meet are zero, because two of the three subspaces of the
-standard triple are coordinate subspaces, so sparse rows touch little.
+content is divided out again (``_clear``).  Clearing a column commutes
+with scaling rows by nonzero numbers, so every integer row stays a
+nonzero multiple of the row that ``Fraction`` elimination would hold at
+the same step.  ``_eliminate`` is that loop; ``_echelonize`` wraps it
+for rows of Fractions and writes the RREF back value for value, and
+the tests hold it to a dense ``Fraction`` reference.
 
+A ``Subspace`` is held as integer rows: one primitive integer row per
+canonical basis vector, the multiple with a positive pivot entry, which
+is unique, so two subspaces are equal iff their rows are.  Sums,
+intersections, kernels, quotients, membership and the isotropy check of
+the standard triple pass these rows from one elimination to the next;
+the ``Fraction`` basis is built only when a caller reads ``basis``.
 Kernels, intersections and quotients take one elimination each.  A
 kernel is read off the RREF taken with the columns reversed, whose
 free-variable vectors already are the canonical basis.  An intersection
 is the kernel of both operands' equations, which are read off their
-canonical bases (a coordinate subspace gives one-entry equations).
-Representatives of a quotient N / D are the leftmost pivots of [D | N]
-past D's columns.  Entries are coerced to Fraction once, at the public
-entry points; a Fraction passes through unchanged, and subspaces built
-from a basis that is already canonical skip coercion and checks
-altogether.
+rows (a coordinate subspace gives one-entry equations).  Representatives
+of a quotient N / D are the N basis vectors whose rows the rows of D
+and of the earlier representatives do not reduce to zero.
+
+The congruence diagonalization of ``symmetric_signature`` clears
+denominators the same way and then stays in integers; ``apply`` skips
+zero factors.  Most entries the signature computations meet are zero,
+because two of the three subspaces of the standard triple are
+coordinate subspaces, so sparse rows touch little.  Entries are coerced
+once, at the public entry points: a Fraction passes through unchanged,
+and so does an int wherever the entries go straight into integer rows.
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 
+_ZERO = Fraction(0)
+
 
 def _frac(x) -> Fraction:
     if type(x) is Fraction:
@@ -61,6 +68,12 @@ def _frac(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"refusing float {x!r}: pass int, Fraction or a rational string")
     return Fraction(x)
+
+
+def _exact_entries(v: Iterable) -> list:
+    """The entries of ``v`` as ints and Fractions: ints pass as they are,
+    and everything else goes through the coercion of ``vector``."""
+    return [x if type(x) is int else _frac(x) for x in v]
 
 
 def refuse_floats(*vectors: Sequence) -> None:
@@ -105,38 +118,38 @@ def _divide_content(row: dict[int, int]) -> int:
     return g
 
 
-def _echelonize(rows: list[list[Fraction]], reduced: bool = True,
-                pivot_limit: int | None = None) -> list[int]:
-    """Row-reduce ``rows`` in place with leftmost pivots.
+def _clear(row: dict[int, int], pivot: dict[int, int], lead: int, f: int) -> int:
+    """Clear the entry f of ``row`` in the column where ``pivot`` has the
+    entry ``lead``, in place: row := (lead/g) row - (f/g) pivot with
+    g = gcd(lead, f), then divide out the content h.  Returns g * h."""
+    g = gcd(lead, f)
+    a, b = lead // g, f // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    for j, x in pivot.items():
+        y = row.get(j, 0) - b * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+    return g * _divide_content(row)
 
-    Returns the pivot column indices in order.  Pivots are searched only
-    in the first ``pivot_limit`` columns (all of them by default), which
-    is how augmented systems keep their right-hand sides out of the
-    pivot set; row operations always span the full width.  With
-    ``reduced`` the result is the unique RREF: pivots are normalized to
-    1 and cleared above as well as below.  Without it, rows above a
-    pivot keep their entry in its column.
 
-    The work is done on primitive integer rows (see the module
-    docstring), each a nonzero multiple of the row that ``Fraction``
-    elimination would hold at the same step; the rows are written back
-    as Fractions at the end, value for value what ``Fraction``
-    elimination gives.  A pivot row is its integer row over its pivot
-    entry.  A row left without a pivot, which only ``pivot_limit``
-    leaves nonzero, is its integer row times the rational factor
-    ``num / den`` tracked for it through every step.
+def _eliminate(work: list[dict[int, int]], limit: int, reduced: bool,
+               num: list[int] | None = None, den: list[int] | None = None) -> list[int]:
+    """Row-reduce the integer rows ``work`` in place with leftmost pivots
+    among the first ``limit`` columns, and return the pivot columns.
+
+    Each step is ``_clear``, so every row stays a nonzero multiple of the
+    row that ``Fraction`` elimination would hold at the same step, and a
+    row that enters primitive stays primitive.  With ``reduced`` each
+    pivot column is cleared above as well as below its pivot row.  When
+    ``num`` and ``den`` are given, row i of the ``Fraction`` elimination
+    is ``num[i] / den[i]`` times ``work[i]`` on entry, and that factor
+    is kept up to date for every row below the current pivot row.
     """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    limit = n_cols if pivot_limit is None else pivot_limit
-    work: list[dict[int, int]] = []
-    num: list[int] = []
-    den: list[int] = []
-    for row in rows:
-        scale, w = integer_row(row)
-        work.append(w)
-        num.append(_divide_content(w))
-        den.append(scale)
+    n_rows = len(work)
     pivots: list[int] = []
     rank = 0
     for c in range(limit):
@@ -147,8 +160,9 @@ def _echelonize(rows: list[list[Fraction]], reduced: bool = True,
             continue
         if p != rank:
             work[rank], work[p] = work[p], work[rank]
-            num[rank], num[p] = num[p], num[rank]
-            den[rank], den[p] = den[p], den[rank]
+            if num is not None:
+                num[rank], num[p] = num[p], num[rank]
+                den[rank], den[p] = den[p], den[rank]
         pivot = work[rank]
         lead = pivot[c]
         span = range(n_rows) if reduced else range(rank + 1, n_rows)
@@ -157,30 +171,49 @@ def _echelonize(rows: list[list[Fraction]], reduced: bool = True,
             f = row.get(c)
             if f is None or i == rank:
                 continue
-            # Clear column c by row := (lead/g) row - (f/g) pivot, which is
-            # lead/g times the step of Fraction elimination, then divide
-            # out the content h.  Only a row that may end without a pivot
-            # needs its factor num/den to the Fraction row kept up to date.
-            g = gcd(lead, f)
-            a, b = lead // g, f // g
-            if a != 1:
-                for j in row:
-                    row[j] *= a
-            for j, x in pivot.items():
-                y = row.get(j, 0) - b * x
-                if y:
-                    row[j] = y
-                else:
-                    del row[j]
-            h = _divide_content(row)
-            if i > rank:
-                num[i] *= g * h
+            gh = _clear(row, pivot, lead, f)
+            # Only a row that may end without a pivot needs its factor.
+            if num is not None and i > rank:
+                num[i] *= gh
                 den[i] *= lead
         pivots.append(c)
         rank += 1
-    zero = Fraction(0)
+    return pivots
+
+
+def _echelonize(rows: list[list[Fraction]], reduced: bool = True,
+                pivot_limit: int | None = None) -> list[int]:
+    """Row-reduce ``rows`` of Fractions in place with leftmost pivots.
+
+    Returns the pivot column indices in order.  Pivots are searched only
+    in the first ``pivot_limit`` columns (all of them by default), which
+    is how augmented systems keep their right-hand sides out of the
+    pivot set; row operations always span the full width.  With
+    ``reduced`` the result is the unique RREF: pivots are normalized to
+    1 and cleared above as well as below.  Without it, rows above a
+    pivot keep their entry in its column.
+
+    The rows are converted once to primitive integer rows, eliminated by
+    ``_eliminate`` and written back as Fractions, value for value what
+    ``Fraction`` elimination gives.  A pivot row is its integer row over
+    its pivot entry.  A row left without a pivot, which only
+    ``pivot_limit`` leaves nonzero, is its integer row times the
+    rational factor ``num / den`` tracked for it through every step.
+    """
+    n_cols = len(rows[0]) if rows else 0
+    work: list[dict[int, int]] = []
+    num: list[int] = []
+    den: list[int] = []
+    for row in rows:
+        scale, w = integer_row(row)
+        work.append(w)
+        num.append(_divide_content(w))
+        den.append(scale)
+    limit = n_cols if pivot_limit is None else pivot_limit
+    pivots = _eliminate(work, limit, reduced, num, den)
+    rank = len(pivots)
     for i, row in enumerate(work):
-        out = [zero] * n_cols
+        out = [_ZERO] * n_cols
         if i < rank:
             lead = row[pivots[i]]
             for j, x in row.items():
@@ -225,10 +258,6 @@ class RationalMatrix:
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n_cols=n)
-
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int) -> "RationalMatrix":
-        return cls([[0] * n_cols for _ in range(n_rows)], n_cols=n_cols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], n_rows: int | None = None) -> "RationalMatrix":
@@ -319,7 +348,7 @@ class RationalMatrix:
     def kernel(self) -> "Subspace":
         """Null space {x : Mx = 0} as a canonical subspace of Q^n_cols,
         read off one elimination (see ``_null_space``)."""
-        return _null_space(self._rows, self.n_cols)
+        return _null_space([_primitive(row) for row in self._rows], self.n_cols)
 
     def __eq__(self, other) -> bool:
         return (
@@ -336,34 +365,73 @@ class RationalMatrix:
         return f"RationalMatrix({self.n_rows}x{self.n_cols}: {body})"
 
 
-def _null_space(rows: Sequence[Sequence[Fraction]], n_cols: int) -> "Subspace":
-    """Canonical basis of {x : row . x = 0 for every row}.
+def _primitive(row: Sequence) -> dict[int, int]:
+    """``row`` (ints or Fractions) as a primitive integer row."""
+    w = integer_row(row)[1]
+    _divide_content(w)
+    return w
+
+
+def _span_rows(work: list[dict[int, int]], n: int) -> tuple[list[int], list[dict[int, int]]]:
+    """Pivots and canonical rows of the span of primitive integer rows,
+    which are eliminated in place."""
+    pivots = _eliminate(work, n, reduced=True)
+    rows = work[: len(pivots)]
+    for p, row in zip(pivots, rows):
+        if row[p] < 0:
+            for j in row:
+                row[j] = -row[j]
+    return pivots, rows
+
+
+def _solved_rows(n: int, pivots: Sequence[int],
+                 rows: Sequence[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
+    """The non-pivot columns j of Q^n, and for each the primitive
+    integer multiple of e_j - sum_t (rows[t][j] / d_t) e_{p_t}.
+
+    ``rows[t]`` has the entry d_t at its pivot p_t and is zero at every
+    other pivot.  For the canonical rows of a span these are equations
+    whose common null space is the span; for the RREF rows of a matrix
+    they are the kernel's canonical basis, whose pivots are the j.  The
+    multiple taken is L_j times the vector, L_j the lcm of the d_t with
+    rows[t][j] != 0, with its content divided out, so its entry at j
+    stays positive.
+    """
+    pivot_set = set(pivots)
+    terms: dict[int, list[tuple[int, int, int]]] = {j: [] for j in range(n) if j not in pivot_set}
+    for p, row in zip(pivots, rows):
+        d = row[p]
+        for j, x in row.items():
+            if j != p:
+                terms[j].append((p, x, d))
+    out = []
+    for j, entries in terms.items():
+        scale = lcm(*(d for _, _, d in entries))
+        row = {j: scale}
+        for p, x, d in entries:
+            row[p] = -x * (scale // d)
+        _divide_content(row)
+        out.append(row)
+    return list(terms), out
+
+
+def _null_space(rows: Sequence[dict[int, int]], n_cols: int) -> "Subspace":
+    """Subspace {x : row . x = 0 for every integer row}.
 
     The rows are echelonized with their columns reversed, so each pivot
     sits as far right as it can: RREF row i is zero right of its pivot
     p_i and at every other pivot.  The free-variable vector
-    e_f - sum_i rows[i][f] e_{p_i} is therefore nonzero only at f and at
-    pivots right of f, so its leading entry is the 1 at f, and it is
-    zero at every other free column.  Taken in increasing f, these
-    vectors already are the canonical basis; no second elimination is
-    needed.
+    e_f - sum_i rref_i[f] e_{p_i} is therefore nonzero only at f and at
+    pivots right of f, so its leading entry is at f, and it is zero at
+    every other free column.  Taken in increasing f, these vectors
+    already are the canonical basis (``_solved_rows``); no second
+    elimination is needed.
     """
     last = n_cols - 1
-    work = [list(reversed(row)) for row in rows]
-    pivots = [last - c for c in _echelonize(work)]
-    pivot_set = set(pivots)
-    zero, one = Fraction(0), Fraction(1)
-    free = [f for f in range(n_cols) if f not in pivot_set]
-    basis = []
-    for f in free:
-        v = [zero] * n_cols
-        v[f] = one
-        for row, p in zip(work, pivots):
-            x = row[last - f]
-            if x:
-                v[p] = -x
-        basis.append(v)
-    return Subspace._canonical(n_cols, basis, free)
+    work = [{last - j: x for j, x in row.items()} for row in rows]
+    pivots = [last - c for c in _eliminate(work, n_cols, reduced=True)]
+    echelon = [{last - c: x for c, x in w.items()} for w in work[: len(pivots)]]
+    return Subspace._from_rows(n_cols, *_solved_rows(n_cols, pivots, echelon))
 
 
 def solve_many(M: RationalMatrix, rhs: Sequence[Sequence]) -> list[Vector | None]:
@@ -393,74 +461,88 @@ def solve_many(M: RationalMatrix, rhs: Sequence[Sequence]) -> list[Vector | None
 
 
 class Subspace:
-    """A linear subspace of Q^n with its canonical echelon basis.
+    """A linear subspace of Q^n, held as canonical integer rows.
 
-    Construction canonicalizes any generating set, so equality of
-    subspaces is literal equality of their basis grids.  Sums,
-    intersections and membership are all exact.
+    Row t is the primitive integer multiple, with a positive entry at
+    its pivot coordinate ``_pivots[t]``, of the t-th vector of the
+    canonical basis.  That form is unique, so equality of subspaces is
+    equality of pivots and rows.  ``basis``, the canonical basis as the
+    columns of a ``RationalMatrix``, is built from the rows on first
+    read and kept; building it twice gives equal values, so the cache
+    needs no lock.  Sums, intersections and membership are all exact
+    and work on the integer rows.  The rows are never mutated once the
+    subspace is built.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    __slots__ = ("ambient_dim", "_pivots", "_rows", "_basis")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence] = ()):
         if ambient_dim < 0:
             raise ValueError("ambient dimension must be nonnegative")
-        rows = []
+        work = []
         for v in vectors:
-            w = [_frac(x) for x in v]
+            w = _exact_entries(v)
             if len(w) != ambient_dim:
                 raise ValueError(f"generator of length {len(w)} in Q^{ambient_dim}")
-            rows.append(w)
-        pivots = _echelonize(rows)
-        self._adopt(ambient_dim, rows[: len(pivots)], pivots)
+            work.append(_primitive(w))
+        self._set(ambient_dim, *_span_rows(work, ambient_dim))
 
     @classmethod
-    def _canonical(cls, ambient_dim: int, basis: list[list[Fraction]],
-                   pivots: Sequence[int]) -> "Subspace":
-        """Wrap a basis that is already canonical (Fraction entries,
-        reduced column echelon form with these pivot coordinates)."""
+    def _from_rows(cls, ambient_dim: int, pivots: Sequence[int],
+                   rows: Sequence[dict[int, int]]) -> "Subspace":
+        """Wrap rows that already are canonical."""
         self = cls.__new__(cls)
-        self._adopt(ambient_dim, basis, pivots)
+        self._set(ambient_dim, pivots, rows)
         return self
 
-    def _adopt(self, ambient_dim: int, basis: list[list[Fraction]],
-               pivots: Sequence[int]) -> None:
+    def _set(self, ambient_dim: int, pivots: Sequence[int],
+             rows: Sequence[dict[int, int]]) -> None:
         self.ambient_dim = ambient_dim
-        rows = tuple(zip(*basis)) if basis else ((),) * ambient_dim
-        self.basis = RationalMatrix._exact(rows, n_cols=len(basis))
         self._pivots = tuple(pivots)
+        self._rows = tuple(rows)
+        self._basis = None
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim)
+    @property
+    def basis(self) -> RationalMatrix:
+        """The canonical basis: reduced column echelon form, with a
+        leading 1 at each pivot coordinate."""
+        if self._basis is None:
+            dim = len(self._rows)
+            grid = [[_ZERO] * dim for _ in range(self.ambient_dim)]
+            for t, (p, row) in enumerate(zip(self._pivots, self._rows)):
+                lead = row[p]
+                for j, x in row.items():
+                    grid[j][t] = Fraction(x, lead)
+            self._basis = RationalMatrix._exact(tuple(map(tuple, grid)), n_cols=dim)
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return self.basis.n_cols
+        return len(self._pivots)
 
     def columns(self) -> tuple[Vector, ...]:
         return self.basis.columns()
 
     def contains(self, v: Sequence) -> bool:
-        w = list(vector(v))
+        w = _exact_entries(v)
         if len(w) != self.ambient_dim:
             raise ValueError(f"vector of length {len(w)} in Q^{self.ambient_dim}")
-        for col, p in zip(self.basis.columns(), self._pivots):
-            c = w[p]
-            if c:
-                for j, x in enumerate(col):
-                    if x:
-                        w[j] -= c * x
-        return not any(w)
+        # Each row is zero at the other pivots, so clearing the pivots
+        # one by one leaves zero exactly when v lies in the span.
+        rest = integer_row(w)[1]
+        for p, row in zip(self._pivots, self._rows):
+            f = rest.get(p)
+            if f is not None:
+                _clear(rest, row, row[p], f)
+        return not rest
 
     def __contains__(self, v: Sequence) -> bool:
         return self.contains(v)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        rows = [list(c) for c in self.columns() + other.columns()]
-        pivots = _echelonize(rows)
-        return Subspace._canonical(self.ambient_dim, rows[: len(pivots)], pivots)
+        work = [dict(row) for row in self._rows + other._rows]
+        return Subspace._from_rows(self.ambient_dim, *_span_rows(work, self.ambient_dim))
 
     def __and__(self, other: "Subspace") -> "Subspace":
         """Intersection: the null space of both operands' equations
@@ -468,29 +550,16 @@ class Subspace:
         self._check_ambient(other)
         return _null_space(self._equations() + other._equations(), self.ambient_dim)
 
-    def _equations(self) -> list[list[Fraction]]:
-        """Rows whose common null space is this subspace.
+    def _equations(self) -> list[dict[int, int]]:
+        """Integer rows whose common null space is this subspace.
 
         With canonical basis columns b_t and pivots p_t, a vector x lies
         in the span iff x = sum_t x[p_t] b_t, that is iff
         x[j] - sum_t b_t[j] x[p_t] = 0 at every non-pivot coordinate j;
-        one row per such j.  A coordinate subspace gets one-entry rows.
+        one row per such j, cleared of denominators (``_solved_rows``).
+        A coordinate subspace gets one-entry rows.
         """
-        n = self.ambient_dim
-        pivots = self._pivots
-        pivot_set = set(pivots)
-        zero, one = Fraction(0), Fraction(1)
-        rows = []
-        for j, entries in enumerate(self.basis._rows):
-            if j in pivot_set:
-                continue
-            row = [zero] * n
-            row[j] = one
-            for p, b in zip(pivots, entries):
-                if b:
-                    row[p] = -b
-            rows.append(row)
-        return rows
+        return _solved_rows(self.ambient_dim, self._pivots, self._rows)[1]
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -502,11 +571,13 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._pivots == other._pivots
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        rows = tuple(frozenset(row.items()) for row in self._rows)
+        return hash((self.ambient_dim, self._pivots, rows))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -515,21 +586,31 @@ class Subspace:
 def quotient_basis(numerator: Subspace, denominator: Subspace) -> list[Vector]:
     """Representatives in N spanning the quotient N / D.
 
-    D must be contained in N.  Both are read off one elimination of the
-    matrix [D | N], whose columns are D's canonical basis followed by
-    N's.  Its leftmost pivots are all of D's columns, which are
-    independent, and then each N column that enlarges the span of D and
-    the N columns before it: those N columns are the representatives,
-    in order.  The rank of [D | N] is dim(D + N), which equals dim N
+    D must be contained in N.  The representatives are the canonical
+    basis vectors of N, in order, that enlarge the span of D and the N
+    vectors before them.  Each N row is reduced by a list of integer
+    rows, seeded with D's rows, in list order: every row of the list is
+    zero at the pivots of the rows before it, so clearing the pivots in
+    that order leaves the N row zero at all of them.  A row that does
+    not reduce to zero joins the list, with one of its nonzero columns
+    as pivot.  The list ends with dim(D + N) rows, which equals dim N
     exactly when D lies in N.
     """
     numerator._check_ambient(denominator)
-    offset = denominator.dim
-    rows = [list(d + n) for d, n in zip(denominator.basis._rows, numerator.basis._rows)]
-    pivots = _echelonize(rows, reduced=False)
-    if len(pivots) != numerator.dim:
+    echelon = list(zip(denominator._pivots, denominator._rows))
+    picked = []
+    for k, row in enumerate(numerator._rows):
+        rest = dict(row)
+        for p, e in echelon:
+            f = rest.get(p)
+            if f is not None:
+                _clear(rest, e, e[p], f)
+        if rest:
+            echelon.append((min(rest), rest))
+            picked.append(k)
+    if len(echelon) != numerator.dim:
         raise ValueError("denominator is not a subspace of the numerator")
-    return [numerator.basis.column(p - offset) for p in pivots[offset:]]
+    return [numerator.basis.column(k) for k in picked]
 
 
 @dataclass(frozen=True)

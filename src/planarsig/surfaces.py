@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import Vector, integer_row, refuse_floats, vector
+from .linalg import Vector, integer_row, refuse_floats
 
 
 class NonAllowableCycleError(ValueError):
@@ -222,32 +222,29 @@ class TorusBoundarySpace:
         Same checks as ``pair``.  Each vector is first scaled by the
         positive lcm of its denominators (``integer_row``); Q is
         bilinear, so a nonzero scaling of u or v does not change whether
-        Q(u, v) is zero, and the pairings are summed in integers.  Each
-        vector's nonzero entries are collected once, as the sparse
-        vector Ju with Q(u, v) = Ju . v: m_i pairs with the l_i entry of
-        v and l_i, negated, with its m_i entry.  Q(u, u) = 0 by
-        skew-symmetry, so only distinct pairs are summed.
+        Q(u, v) is zero.  The pairings are then summed in integers by
+        ``is_isotropic_rows``.
         """
         if any(len(u) != self.dim for u in vectors):
             raise ValueError(f"vectors must have length {self.dim}")
         refuse_floats(*vectors)
-        scaled = [integer_row(u)[1] for u in vectors]
-        for k, u in enumerate(scaled):
+        return self.is_isotropic_rows([integer_row(u)[1] for u in vectors])
+
+    def is_isotropic_rows(self, rows: Sequence[dict[int, int]]) -> bool:
+        """``is_isotropic`` for integer vectors held sparsely as
+        ``{coordinate: entry}`` with no zero entries, unchecked.
+
+        Each vector's entries are collected once, as the sparse vector
+        Ju with Q(u, v) = Ju . v: m_i pairs with the l_i entry of v and
+        l_i, negated, with its m_i entry.  Q(u, u) = 0 by
+        skew-symmetry, so only distinct pairs are summed.
+        """
+        for k, u in enumerate(rows):
             ju = [(i + 1, a) if i % 2 == 0 else (i - 1, -a) for i, a in u.items()]
-            for v in scaled[:k]:
+            for v in rows[:k]:
                 if sum(a * v[j] for j, a in ju if j in v):
                     return False
         return True
-
-    def embed(self, m_coefficients: Sequence) -> Vector:
-        """Include a fiber class (coefficients of m_1..m_r) into this space."""
-        w = vector(m_coefficients)
-        if len(w) != self.r:
-            raise ValueError(f"fiber vector of length {len(w)}, expected {self.r}")
-        v = [Fraction(0)] * self.dim
-        for i, c in enumerate(w, start=1):
-            v[self.m_index(i)] = c
-        return tuple(v)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TorusBoundarySpace) and self.r == other.r

@@ -21,7 +21,6 @@ from closed-form generators, and the two must agree on every instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .linalg import (
@@ -40,7 +39,9 @@ from .surfaces import TorusBoundarySpace
 class WallTriple:
     """Three isotropic subspaces of a skew-paired ambient space.
 
-    Isotropy of each subspace is checked at construction.
+    Isotropy of each subspace is checked at construction, on its
+    integer rows: they are positive multiples of its canonical basis
+    vectors, and scaling does not change whether a pairing is zero.
     """
 
     space: TorusBoundarySpace
@@ -57,7 +58,7 @@ class WallTriple:
         ):
             if sub.ambient_dim != n:
                 raise ValueError(f"{name} lives in Q^{sub.ambient_dim}, ambient is Q^{n}")
-            if not self.space.is_isotropic(sub.columns()):
+            if not self.space.is_isotropic_rows(sub._rows):
                 raise ValueError(f"{name} is not isotropic for the pairing")
 
 
@@ -179,20 +180,20 @@ def lplus_closed_form(r: int, vectors: Sequence[Sequence[int]]) -> Subspace:
     test suite enforces that cross-check.
     """
     space = TorusBoundarySpace(r)
-    gens: list[list[Fraction]] = []
+    gens: list[list[int]] = []
     for k in range(1, r + 1):
-        v = [Fraction(0)] * space.dim
-        v[space.l_index(k)] = Fraction(1)
-        v[space.l_index(0)] = Fraction(-1)
+        v = [0] * space.dim
+        v[space.l_index(k)] = 1
+        v[space.l_index(0)] = -1
         for x in vectors:
             c = x[k - 1]
             if c:
                 for i in range(r):
                     v[space.m_index(i + 1)] += c * x[i]
         gens.append(v)
-    total_m = [Fraction(0)] * space.dim
+    total_m = [0] * space.dim
     for i in range(r + 1):
-        total_m[space.m_index(i)] = Fraction(1)
+        total_m[space.m_index(i)] = 1
     gens.append(total_m)
     return Subspace(space.dim, gens)
 
@@ -207,8 +208,14 @@ def standard_triple(bmap: MappingTorusBoundaryMap) -> WallTriple:
     """
     r = bmap.r
     space = TorusBoundarySpace(r)
-    l_minus = Subspace(space.dim, [space.basis_m(i) for i in range(r + 1)])
-    l_zero = Subspace(space.dim, [space.basis_l(i) for i in range(r + 1)])
+
+    def unit(k: int) -> list[int]:
+        v = [0] * space.dim
+        v[k] = 1
+        return v
+
+    l_minus = Subspace(space.dim, [unit(space.m_index(i)) for i in range(r + 1)])
+    l_zero = Subspace(space.dim, [unit(space.l_index(i)) for i in range(r + 1)])
     l_plus = lplus_kernel(bmap)
     return WallTriple(space=space, l_minus=l_minus, l_zero=l_zero, l_plus=l_plus)
 

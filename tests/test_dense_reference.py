@@ -149,6 +149,14 @@ def test_large_denominators_match_dense(shape, density):
     consistent = M.apply([big_fraction(rng) for _ in range(n_cols)])
     rhs = [consistent, [big_fraction(rng) for _ in range(n_rows)]]
     assert solve_many(M, rhs) == solve_dense(grid, n_cols, rhs)
+    # Meets, sums and quotients hand integer rows from one elimination
+    # to the next.
+    k = n_rows // 3
+    u_gens, v_gens = grid[: n_rows - k], grid[k:]
+    U, V = Subspace(n_cols, u_gens), Subspace(n_cols, v_gens)
+    check_meet_and_sum(U, V, u_gens, v_gens)
+    for numerator, denominator in ((U + V, U), (U, U & V), (V, U & V), (U, V)):
+        check_quotient(numerator, denominator)
 
 
 @pytest.mark.parametrize("case", CASES + LARGE_CASES, ids=case_id)
@@ -171,6 +179,24 @@ def check_meet_and_sum(U, V, u_gens, v_gens):
     assert (U & V).columns() == tuple(meet_dense(u_gens, v_gens, n))
     assert (V & U) == (U & V)
     assert (U + V).columns() == tuple(rref_dense(list(u_gens) + list(v_gens)))
+
+
+def check_quotient(numerator, denominator):
+    """Leftmost pivots of [D | N] pick the N columns that enlarge the
+    span of D, in order; a pivot count other than dim N means that D
+    does not lie in N."""
+    stacked = [
+        list(d) + list(c)
+        for d, c in zip(denominator.basis.to_rows(), numerator.basis.to_rows())
+    ]
+    pivots = echelonize_dense(stacked) if stacked else []
+    if len(pivots) != numerator.dim:
+        with pytest.raises(ValueError):
+            quotient_basis(numerator, denominator)
+        return
+    basis = numerator.columns()
+    expected = [basis[p - denominator.dim] for p in pivots if p >= denominator.dim]
+    assert quotient_basis(numerator, denominator) == expected
 
 
 def unit(n, i):
@@ -207,13 +233,13 @@ def test_meet_and_sum_with_zero_and_full_spaces_match_dense(n):
     rng = random.Random(100 + n)
     full_gens = [unit(n, i) for i in range(n)]
     some_gens = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(max(1, n // 2))]
-    spaces = [([], Subspace.zero(n))] + [(g, Subspace(n, g)) for g in (full_gens, some_gens)]
+    spaces = [([], Subspace(n))] + [(g, Subspace(n, g)) for g in (full_gens, some_gens)]
     for u_gens, U in spaces:
         for v_gens, V in spaces:
             check_meet_and_sum(U, V, u_gens, v_gens)
     full = Subspace(n, full_gens)
     assert (full & full) == full
-    assert (Subspace.zero(n) & full).dim == 0
+    assert (Subspace(n) & full).dim == 0
 
 
 def test_kernel_and_solve_match_dense(grid):
@@ -241,13 +267,7 @@ def test_apply_contains_and_quotient_match_dense(grid):
     for v in (grid[0], x, [a + b for a, b in zip(grid[0], grid[-1])]):
         assert span.contains(v) == (len(rref_dense(basis + [v])) == span.dim)
 
-    # Leftmost pivots of [half | span] pick the span columns that
-    # enlarge the half's span, in order.
-    half = Subspace(M.n_cols, grid[: len(grid) // 2])
-    stacked = [list(h) + list(c) for h, c in zip(half.basis.to_rows(), span.basis.to_rows())]
-    pivots = echelonize_dense(stacked) if stacked else []
-    expected = [basis[p - half.dim] for p in pivots if p >= half.dim]
-    assert quotient_basis(span, half) == expected
+    check_quotient(span, Subspace(M.n_cols, grid[: len(grid) // 2]))
 
 
 @pytest.mark.parametrize("density", DENSITIES)

@@ -82,7 +82,7 @@ class TestRank:
         assert RationalMatrix.identity(2).rank() == 2
 
     def test_zero(self):
-        assert RationalMatrix.zeros(3, 4).rank() == 0
+        assert RationalMatrix([[0] * 4 for _ in range(3)]).rank() == 0
 
     def test_three_cycle_columns(self):
         # Columns are the classes of two boundary-parallel curves and the
@@ -115,10 +115,10 @@ class TestRank:
 
 class TestKernel:
     def test_identity_kernel_trivial(self):
-        assert RationalMatrix.identity(3).kernel() == Subspace.zero(3)
+        assert RationalMatrix.identity(3).kernel() == Subspace(3)
 
     def test_zero_map_kernel_full(self):
-        assert RationalMatrix.zeros(1, 3).kernel() == full_space(3)
+        assert RationalMatrix([[0, 0, 0]]).kernel() == full_space(3)
 
     def test_sum_functional(self):
         M = RationalMatrix([[1, 1, 1]])
@@ -147,6 +147,29 @@ class TestSubspace:
         b = Subspace(3, [[2, 2, 2], [1, 1, 0]])
         assert a == b
         assert hash(a) == hash(b)
+        # Same pivots, different spans.
+        assert Subspace(3, [[1, 1, 0]]) != Subspace(3, [[1, 2, 0]])
+        assert Subspace(3, [[2, 0, 1], [0, 1, 1]]) != Subspace(3, [[1, 0, 1], [0, 1, 1]])
+        # The same span from generators reordered, negated and scaled by
+        # rationals with large denominators, plus a combination of them.
+        rng = random.Random(11)
+        for n in (1, 4, 9):
+            gens = [
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                for _ in range(rng.randint(1, n))
+            ]
+            ref = Subspace(n, gens)
+            for _ in range(5):
+                moved = []
+                for g in gens:
+                    s = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**12), rng.randint(1, 10**12))
+                    moved.append([s * x for x in g])
+                rng.shuffle(moved)
+                moved.append([sum(col) for col in zip(*moved)])
+                other = Subspace(n, moved)
+                assert other == ref
+                assert hash(other) == hash(ref)
+                assert other.basis == ref.basis
 
     def test_sum_examples(self):
         e1 = [1, 0]
@@ -159,7 +182,7 @@ class TestSubspace:
         assert [0, 1, 0] in S
 
     def test_intersection_examples(self):
-        assert (Subspace(2, [[1, 0]]) & Subspace(2, [[0, 1]])) == Subspace.zero(2)
+        assert (Subspace(2, [[1, 0]]) & Subspace(2, [[0, 1]])) == Subspace(2)
         U = Subspace(3, [[1, 5, 0], [0, 2, 1]])
         assert (U & U) == U
         left = Subspace(3, [[1, 0, 0], [0, 1, 0]])
@@ -193,7 +216,7 @@ class TestQuotientBasis:
         assert quotient_basis(full_space(2), full_space(2)) == []
 
     def test_full_by_zero_gives_canonical_basis(self):
-        reps = quotient_basis(full_space(2), Subspace.zero(2))
+        reps = quotient_basis(full_space(2), Subspace(2))
         assert reps == [vector([1, 0]), vector([0, 1])]
 
     def test_plane_by_diagonal(self):
@@ -231,7 +254,7 @@ class TestSolve:
         assert solve_many(M, [[3, -1, 2]])[0] == vector([3, -1, 2])
 
     def test_inconsistent(self):
-        assert solve_many(RationalMatrix.zeros(2, 2), [[1, 0]])[0] is None
+        assert solve_many(RationalMatrix([[0, 0], [0, 0]]), [[1, 0]])[0] is None
 
     def test_underdetermined_free_vars_zero(self):
         assert solve_many(RationalMatrix([[1, 1]]), [[3]])[0] == vector([3, 0])
@@ -279,7 +302,7 @@ class TestSymmetricSignature:
 
     def test_empty_and_zero(self):
         assert symmetric_signature(RationalMatrix([], n_cols=0)) == SignatureTriple(0, 0, 0)
-        assert symmetric_signature(RationalMatrix.zeros(3, 3)) == SignatureTriple(0, 0, 3)
+        assert symmetric_signature(RationalMatrix([[0] * 3 for _ in range(3)])) == SignatureTriple(0, 0, 3)
 
     def test_rejects_nonsquare_and_asymmetric(self):
         with pytest.raises(ValueError):

@@ -222,7 +222,7 @@ class TestStandardTriple:
 
     def test_meridians_meet_longitudes_trivially(self):
         triple = triple_of(3, curves({1}, {2, 3}))
-        assert (triple.l_minus & triple.l_zero) == Subspace.zero(8)
+        assert (triple.l_minus & triple.l_zero) == Subspace(8)
 
     def test_meridians_meet_kernel_in_meridian_sum(self):
         z = TorusBoundarySpace(3)
@@ -235,7 +235,7 @@ class TestStandardTriple:
 
 class TestGramClosedForm:
     def test_trivial_monodromy_gram_is_zero(self):
-        assert psi_gram_closed_form(3, []) == RationalMatrix.zeros(3, 3)
+        assert psi_gram_closed_form(3, []) == RationalMatrix([[0] * 3 for _ in range(3)])
 
     def test_three_cycle_example(self):
         got = psi_gram_closed_form(2, class_vectors(2, curves({1}, {2}, {1, 2})))
