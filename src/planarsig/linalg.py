@@ -22,9 +22,10 @@ row := (lead/g) row - (f/g) pivot with g = gcd(lead, f), and the row's
 content is divided out again (``_clear``).  Clearing a column commutes
 with scaling rows by nonzero numbers, so every integer row stays a
 nonzero multiple of the row that ``Fraction`` elimination would hold at
-the same step.  ``_eliminate`` is that loop; ``_echelonize`` wraps it
-for rows of Fractions and writes the RREF back value for value, and
-the tests hold it to a dense ``Fraction`` reference.
+the same step.  ``_eliminate`` is that loop, and the tests hold it to a
+dense ``Fraction`` reference.  A rank is its pivot count; a solution
+of ``solve_many`` is read off its pivot rows, each over its lead, and
+only the returned entries become Fractions.
 
 A ``Subspace`` is held as integer rows: one primitive integer row per
 canonical basis vector, the multiple with a positive pivot entry, which
@@ -108,20 +109,18 @@ def integer_row(row: Sequence) -> tuple[int, dict[int, int]]:
     return scale, {j: row[j].numerator * (scale // row[j].denominator) for j in columns}
 
 
-def _divide_content(row: dict[int, int]) -> int:
-    """Divide an integer row by the gcd of its entries, in place, and
-    return that gcd (1 for a zero row)."""
-    g = gcd(*row.values()) or 1
-    if g != 1:
+def _divide_content(row: dict[int, int]) -> None:
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g > 1:
         for j in row:
             row[j] //= g
-    return g
 
 
-def _clear(row: dict[int, int], pivot: dict[int, int], lead: int, f: int) -> int:
+def _clear(row: dict[int, int], pivot: dict[int, int], lead: int, f: int) -> None:
     """Clear the entry f of ``row`` in the column where ``pivot`` has the
     entry ``lead``, in place: row := (lead/g) row - (f/g) pivot with
-    g = gcd(lead, f), then divide out the content h.  Returns g * h."""
+    g = gcd(lead, f), then divide out the content."""
     g = gcd(lead, f)
     a, b = lead // g, f // g
     if a != 1:
@@ -133,21 +132,20 @@ def _clear(row: dict[int, int], pivot: dict[int, int], lead: int, f: int) -> int
             row[j] = y
         else:
             del row[j]
-    return g * _divide_content(row)
+    _divide_content(row)
 
 
-def _eliminate(work: list[dict[int, int]], limit: int, reduced: bool,
-               num: list[int] | None = None, den: list[int] | None = None) -> list[int]:
+def _eliminate(work: list[dict[int, int]], limit: int, reduced: bool) -> list[int]:
     """Row-reduce the integer rows ``work`` in place with leftmost pivots
     among the first ``limit`` columns, and return the pivot columns.
 
     Each step is ``_clear``, so every row stays a nonzero multiple of the
     row that ``Fraction`` elimination would hold at the same step, and a
-    row that enters primitive stays primitive.  With ``reduced`` each
-    pivot column is cleared above as well as below its pivot row.  When
-    ``num`` and ``den`` are given, row i of the ``Fraction`` elimination
-    is ``num[i] / den[i]`` times ``work[i]`` on entry, and that factor
-    is kept up to date for every row below the current pivot row.
+    row that enters primitive stays primitive.  Pivot row i over its
+    entry at ``pivots[i]`` is therefore the ``Fraction`` row, and a row
+    left without a pivot, which only ``limit`` leaves nonzero, is a
+    nonzero multiple of it.  With ``reduced`` each pivot column is
+    cleared above as well as below its pivot row.
     """
     n_rows = len(work)
     pivots: list[int] = []
@@ -160,68 +158,16 @@ def _eliminate(work: list[dict[int, int]], limit: int, reduced: bool,
             continue
         if p != rank:
             work[rank], work[p] = work[p], work[rank]
-            if num is not None:
-                num[rank], num[p] = num[p], num[rank]
-                den[rank], den[p] = den[p], den[rank]
         pivot = work[rank]
         lead = pivot[c]
         span = range(n_rows) if reduced else range(rank + 1, n_rows)
         for i in span:
             row = work[i]
             f = row.get(c)
-            if f is None or i == rank:
-                continue
-            gh = _clear(row, pivot, lead, f)
-            # Only a row that may end without a pivot needs its factor.
-            if num is not None and i > rank:
-                num[i] *= gh
-                den[i] *= lead
+            if f is not None and i != rank:
+                _clear(row, pivot, lead, f)
         pivots.append(c)
         rank += 1
-    return pivots
-
-
-def _echelonize(rows: list[list[Fraction]], reduced: bool = True,
-                pivot_limit: int | None = None) -> list[int]:
-    """Row-reduce ``rows`` of Fractions in place with leftmost pivots.
-
-    Returns the pivot column indices in order.  Pivots are searched only
-    in the first ``pivot_limit`` columns (all of them by default), which
-    is how augmented systems keep their right-hand sides out of the
-    pivot set; row operations always span the full width.  With
-    ``reduced`` the result is the unique RREF: pivots are normalized to
-    1 and cleared above as well as below.  Without it, rows above a
-    pivot keep their entry in its column.
-
-    The rows are converted once to primitive integer rows, eliminated by
-    ``_eliminate`` and written back as Fractions, value for value what
-    ``Fraction`` elimination gives.  A pivot row is its integer row over
-    its pivot entry.  A row left without a pivot, which only
-    ``pivot_limit`` leaves nonzero, is its integer row times the
-    rational factor ``num / den`` tracked for it through every step.
-    """
-    n_cols = len(rows[0]) if rows else 0
-    work: list[dict[int, int]] = []
-    num: list[int] = []
-    den: list[int] = []
-    for row in rows:
-        scale, w = integer_row(row)
-        work.append(w)
-        num.append(_divide_content(w))
-        den.append(scale)
-    limit = n_cols if pivot_limit is None else pivot_limit
-    pivots = _eliminate(work, limit, reduced, num, den)
-    rank = len(pivots)
-    for i, row in enumerate(work):
-        out = [_ZERO] * n_cols
-        if i < rank:
-            lead = row[pivots[i]]
-            for j, x in row.items():
-                out[j] = Fraction(x, lead)
-        else:
-            for j, x in row.items():
-                out[j] = Fraction(x * num[i], den[i])
-        rows[i] = out
     return pivots
 
 
@@ -301,10 +247,6 @@ class RationalMatrix:
     def columns(self) -> tuple[Vector, ...]:
         return tuple(self.column(j) for j in range(self.n_cols))
 
-    def to_rows(self) -> list[list[Fraction]]:
-        """Mutable copy of the entries, for elimination routines."""
-        return [list(row) for row in self._rows]
-
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(
             [[self._rows[i][j] for i in range(self.n_rows)] for j in range(self.n_cols)],
@@ -342,8 +284,8 @@ class RationalMatrix:
         )
 
     def rank(self) -> int:
-        rows = self.to_rows()
-        return len(_echelonize(rows, reduced=False))
+        work = [_primitive(row) for row in self._rows]
+        return len(_eliminate(work, self.n_cols, reduced=False))
 
     def kernel(self) -> "Subspace":
         """Null space {x : Mx = 0} as a canonical subspace of Q^n_cols,
@@ -438,24 +380,30 @@ def solve_many(M: RationalMatrix, rhs: Sequence[Sequence]) -> list[Vector | None
     """Solve Mx = b for each right-hand side, sharing one elimination.
 
     Returns, per b, a solution with all free variables set to zero
-    (under leftmost-pivot echelon form) or None if inconsistent.
+    (under leftmost-pivot echelon form) or None if inconsistent.  The
+    augmented rows are eliminated as integer rows with pivots among the
+    columns of M.  A system is inconsistent when its column is nonzero
+    in a row left without a pivot; otherwise x at pivot p is the
+    column's entry in p's row over that row's lead.
     """
     targets = [vector(b) for b in rhs]
     for b in targets:
         if len(b) != M.n_rows:
             raise ValueError(f"right-hand side of length {len(b)} against {M.shape} matrix")
-    aug = [list(row) + [b[i] for b in targets] for i, row in enumerate(M.to_rows())]
-    pivots = _echelonize(aug, pivot_limit=M.n_cols)
+    n = M.n_cols
+    work = [_primitive(row + tuple(b[i] for b in targets)) for i, row in enumerate(M._rows)]
+    pivots = _eliminate(work, n, reduced=True)
     rank = len(pivots)
     out: list[Vector | None] = []
-    for k in range(len(targets)):
-        col = M.n_cols + k
-        if any(aug[i][col] != 0 for i in range(rank, len(aug))):
+    for col in range(n, n + len(targets)):
+        if any(col in row for row in work[rank:]):
             out.append(None)
             continue
-        x = [Fraction(0)] * M.n_cols
-        for i, p in enumerate(pivots):
-            x[p] = aug[i][col]
+        x = [_ZERO] * n
+        for p, row in zip(pivots, work):
+            f = row.get(col)
+            if f is not None:
+                x[p] = Fraction(f, row[p])
         out.append(tuple(x))
     return out
 

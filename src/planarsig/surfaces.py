@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import Vector, integer_row, refuse_floats
+from .linalg import integer_row, refuse_floats
 
 
 class NonAllowableCycleError(ValueError):
@@ -183,26 +183,18 @@ class TorusBoundarySpace:
         if not 0 <= i <= self.r:
             raise ValueError(f"torus index {i} out of range 0..{self.r}")
 
-    def basis_m(self, i: int) -> Vector:
-        v = [Fraction(0)] * self.dim
-        v[self.m_index(i)] = Fraction(1)
-        return tuple(v)
-
-    def basis_l(self, i: int) -> Vector:
-        v = [Fraction(0)] * self.dim
-        v[self.l_index(i)] = Fraction(1)
-        return tuple(v)
-
     def pair(self, u: Sequence, v: Sequence) -> Fraction:
         """Intersection pairing Q(u, v); skew so Q(u, v) = -Q(v, u).
 
         Entries may be ints or Fractions; floats are refused.  Only
-        the products of two nonzero entries are summed.
+        the products of two nonzero entries are summed, in ints when
+        the entries are ints, and the sum becomes a Fraction once, on
+        return.
         """
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError(f"vectors must have length {self.dim}")
         refuse_floats(u, v)
-        total = Fraction(0)
+        total = 0
         for i in range(0, self.dim, 2):
             a = u[i]
             if a:
@@ -214,7 +206,7 @@ class TorusBoundarySpace:
                 b = v[i]
                 if b:
                     total -= a * b
-        return total
+        return Fraction(total)
 
     def is_isotropic(self, vectors: Sequence[Sequence]) -> bool:
         """True iff Q(u, v) = 0 for every pair of the given vectors.

@@ -28,6 +28,7 @@ from .linalg import (
     SignatureTriple,
     Subspace,
     Vector,
+    integer_row,
     quotient_basis,
     solve_many,
     symmetric_signature,
@@ -79,26 +80,45 @@ class WallCorrection:
 
 
 def wall_correction(triple: WallTriple) -> WallCorrection:
-    """Compute the quotient W, the form Psi on it, and its signature."""
+    """Compute the quotient W, the form Psi on it, and its signature.
+
+    The b-part of a solution x is sum_k x_k e_k over L0's canonical
+    basis vectors e_k, each its integer row over the row's pivot entry;
+    for the longitudes of the standard triple that places each x_k at
+    L0's pivot.  Each representative a and b-part b is scaled once to
+    an integer vector, a = A / s and b = B / t, so that
+    Psi(a, b) = Q(A, B) / (s t) pairs integers.
+    """
     lm, l0, lp = triple.l_minus, triple.l_zero, triple.l_plus
     numerator = lm & (l0 + lp)
     denominator = (lm & l0) + (lm & lp)
     reps = quotient_basis(numerator, denominator)
     w_dim = len(reps)
+    n = triple.space.dim
 
     # Decompose each representative a' as -(b' + c'), b' in L0, c' in L+.
     system = RationalMatrix.hstack(l0.basis, lp.basis)
     solutions = solve_many(system, [tuple(-x for x in rep) for rep in reps])
-    b_parts: list[Vector] = []
+    b_parts: list[tuple[int, list[int]]] = []
     for sol in solutions:
         if sol is None:
             raise RuntimeError(
                 "quotient representative failed to decompose inside L0 + L+; "
                 "this cannot happen for a valid triple and indicates a bug"
             )
-        b_parts.append(l0.basis.apply(sol[: l0.dim]))
+        b = [0] * n
+        for x, p, row in zip(sol, l0._pivots, l0._rows):
+            if x:
+                lead = row[p]
+                for j, y in row.items():
+                    b[j] += x if y == lead else x * y / lead
+        b_parts.append(_dense_integer(b))
 
-    grid = [[triple.space.pair(a, b) for b in b_parts] for a in reps]
+    pair = triple.space.pair
+    grid = []
+    for a in reps:
+        s, A = _dense_integer(a)
+        grid.append([pair(A, B) / (s * t) for t, B in b_parts])
     for i in range(w_dim):
         for j in range(i):
             if grid[i][j] != grid[j][i]:
@@ -115,6 +135,16 @@ def wall_correction(triple: WallTriple) -> WallCorrection:
         correction=correction,
         defect=correction.signature,
     )
+
+
+def _dense_integer(v: Sequence) -> tuple[int, list[int]]:
+    """``(s, A)`` with s >= 1 the lcm of the denominators of ``v`` and
+    A = s v as a list of ints."""
+    s, entries = integer_row(v)
+    A = [0] * len(v)
+    for j, x in entries.items():
+        A[j] = x
+    return s, A
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ zero entries: every row operation spans the full width and every
 product is taken, zeros included.  Kernels are read off a
 leftmost-pivot RREF and canonicalized by a second elimination, and
 intersections come from a stacked kernel, as they were before the
-package read both off a single elimination.  The package must agree
+package read both off a single elimination.  ``psi_dense`` rebuilds
+Wall's form Psi from these references alone.  The package must agree
 with them value for value.
 """
 
@@ -248,3 +249,32 @@ def pair_dense(u, v):
     for i in range(len(a) // 2):
         total += a[2 * i] * b[2 * i + 1] - a[2 * i + 1] * b[2 * i]
     return total
+
+
+def psi_dense(l_minus, l_zero, l_plus, n):
+    """(w_dim, Psi rows, inertia) of the triple spanned by the generator
+    lists ``l_minus``, ``l_zero`` and ``l_plus`` in Q^n, from the dense
+    references alone.
+
+    The representatives of W = (L- meet (L0 + L+)) / ((L- meet L0) +
+    (L- meet L+)) are the canonical basis vectors of the numerator N
+    picked by the leftmost pivots of [D | N], as the package picks them.
+    Each representative a is decomposed by ``solve_dense`` on the dense
+    [L0 | L+] as -a = L0 x + L+ y, and Psi[i][j] = pair_dense(a_i, L0 x_j).
+    """
+    l0, lp = rref_dense(l_zero), rref_dense(l_plus)
+    numerator = meet_dense(l_minus, l0 + lp, n)
+    denominator = rref_dense(meet_dense(l_minus, l_zero, n) + meet_dense(l_minus, l_plus, n))
+    stacked = [[d[i] for d in denominator] + [c[i] for c in numerator] for i in range(n)]
+    pivots = echelonize_dense(stacked)
+    k = len(denominator)
+    reps = [numerator[p - k] for p in pivots if p >= k]
+    system = [[b[i] for b in l0] + [c[i] for c in lp] for i in range(n)]
+    b_parts = []
+    for x in solve_dense(system, len(l0) + len(lp), [[-a for a in rep] for rep in reps]):
+        assert x is not None, "a representative does not decompose in L0 + L+"
+        b_parts.append(
+            [sum((x[t] * b[i] for t, b in enumerate(l0)), Fraction(0)) for i in range(n)]
+        )
+    psi = [[pair_dense(a, b) for b in b_parts] for a in reps]
+    return len(reps), psi, inertia_dense(psi)

@@ -113,6 +113,24 @@ class TestCompute:
         out = capsys.readouterr().out
         assert out == (GOLDEN / "three_cycles_report.json").read_text()
 
+    def test_wall_route_does_not_use_the_closed_forms(self, capsys, feed_stdin, monkeypatch):
+        # The Wall route must stand on its own: Psi comes from the
+        # pairing of decomposed representatives and L+ from the kernel of
+        # the boundary map, never from the closed forms it is checked
+        # against.
+        def refuse(*args):
+            raise AssertionError("the Wall route called a closed form")
+
+        modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "planarsig"]
+        for module in modules:
+            for name in ("psi_gram_closed_form", "lplus_closed_form"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        feed_stdin(THREE_CYCLES_DOC)
+        assert main(["compute", "-"]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / "three_cycles_report.json").read_text()
+
     @pytest.mark.parametrize("name", ["wide_r32_m2", "large_r16_m80"])
     def test_matches_golden_file_at_benchmark_sizes(self, capsys, feed_stdin, name):
         # Seeded documents of the benchmark's two compute shapes: r = 32
@@ -383,6 +401,11 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "expected signature 0" in out
 
+    def test_matches_golden_file(self, capsys):
+        assert main(["examples", "--family", "y2", "--r", "7"]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / "examples_y2_r7.json").read_text()
+
 
 class TestFuzz:
     def test_small_run_passes(self, capsys):
@@ -408,6 +431,11 @@ class TestFuzz:
         main(args)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_matches_golden_file(self, capsys):
+        assert main(["fuzz", "--seed", "4", "--count", "30"]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / "fuzz_seed4_count30.json").read_text()
 
     def test_negative_bounds_rejected(self, capsys):
         assert main(["fuzz", "--count", "-1"]) == 2

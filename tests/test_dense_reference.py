@@ -4,6 +4,8 @@ references in ``oracles`` do none of that.  Both must give the same
 values on seeded sparse and dense matrices, integer and rational, up to
 40 x 80, and on inputs whose denominators reach about 10^12."""
 
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -12,14 +14,17 @@ import pytest
 from planarsig.linalg import (
     RationalMatrix,
     Subspace,
-    _echelonize,
+    _eliminate,
+    _primitive,
     quotient_basis,
     solve_many,
     symmetric_signature,
     vector,
 )
+from planarsig.cli import load_document
+from planarsig.properties import random_fibration
 from planarsig.surfaces import TorusBoundarySpace
-from planarsig.wall import mapping_torus_boundary_map
+from planarsig.wall import WallTriple, mapping_torus_boundary_map, wall_correction
 
 from oracles import (
     echelonize_dense,
@@ -27,9 +32,13 @@ from oracles import (
     kernel_dense,
     meet_dense,
     pair_dense,
+    psi_dense,
     rref_dense,
     solve_dense,
 )
+from test_linalg import rows_of
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 DENSITIES = (0.1, 0.3, 1.0)
 
@@ -88,21 +97,38 @@ def grid(request):
     return case_grid(request.param)
 
 
+def check_eliminate(grid, reduced, limit):
+    """``_eliminate`` on the primitive integer rows of ``grid`` against
+    ``echelonize_dense`` on its Fractions: the same pivots, each pivot
+    row over its lead equal to the dense row, and each row left without
+    a pivot a nonzero multiple of the dense row (both zero without a
+    pivot limit)."""
+    n_cols = len(grid[0])
+    work = [_primitive(row) for row in grid]
+    ref = [list(row) for row in grid]
+    pivots = _eliminate(work, n_cols if limit is None else limit, reduced)
+    assert pivots == echelonize_dense(ref, reduced, limit)
+    for i, (row, dense) in enumerate(zip(work, ref)):
+        if i < len(pivots):
+            lead = row[pivots[i]]
+            assert [Fraction(row.get(j, 0), lead) for j in range(n_cols)] == dense
+        elif not row:
+            assert not any(dense)
+        else:
+            first = min(row)
+            c = dense[first] / row[first]
+            assert c != 0
+            assert [c * row.get(j, 0) for j in range(n_cols)] == dense
+
+
 def test_echelonize_matches_dense(grid):
     n_cols = len(grid[0])
     for reduced, limit in ((True, None), (False, None), (True, n_cols // 2)):
-        ours = [list(row) for row in grid]
-        ref = [list(row) for row in grid]
-        assert _echelonize(ours, reduced, limit) == echelonize_dense(ref, reduced, limit)
-        assert ours == ref
+        check_eliminate(grid, reduced, limit)
 
 
 def test_echelonize_unreduced_with_pivot_limit_matches_dense(grid):
-    n_cols = len(grid[0])
-    ours = [list(row) for row in grid]
-    ref = [list(row) for row in grid]
-    assert _echelonize(ours, False, n_cols // 2) == echelonize_dense(ref, False, n_cols // 2)
-    assert ours == ref
+    check_eliminate(grid, False, len(grid[0]) // 2)
 
 
 def big_fraction(rng):
@@ -138,10 +164,7 @@ def test_large_denominators_match_dense(shape, density):
     grid = big_grid(rng, n_rows, n_cols, density)
     for reduced in (True, False):
         for limit in (None, n_cols // 2):
-            ours = [list(row) for row in grid]
-            ref = [list(row) for row in grid]
-            assert _echelonize(ours, reduced, limit) == echelonize_dense(ref, reduced, limit)
-            assert ours == ref
+            check_eliminate(grid, reduced, limit)
     M = RationalMatrix(grid)
     assert Subspace(n_cols, grid).columns() == tuple(rref_dense(grid))
     assert M.rank() == len(rref_dense(grid))
@@ -187,7 +210,7 @@ def check_quotient(numerator, denominator):
     does not lie in N."""
     stacked = [
         list(d) + list(c)
-        for d, c in zip(denominator.basis.to_rows(), numerator.basis.to_rows())
+        for d, c in zip(rows_of(denominator.basis), rows_of(numerator.basis))
     ]
     pivots = echelonize_dense(stacked) if stacked else []
     if len(pivots) != numerator.dim:
@@ -399,7 +422,7 @@ def test_is_isotropic_matches_dense_pairing(r):
     for _ in range(8):
         classes = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(rng.randint(0, 4))]
         grid = [[Fraction(rng.randint(-2, 2)) for _ in range(z.dim)] for _ in range(r + 1)]
-        bumped = [list(z.basis_m(i)) for i in range(r + 1)]
+        bumped = [unit(z.dim, z.m_index(i)) for i in range(r + 1)]
         bumped[-1][rng.randrange(z.dim)] += 1
         for vs in (
             mapping_torus_boundary_map(r, classes).matrix.kernel().columns(),
@@ -443,3 +466,63 @@ def test_is_isotropic_matches_dense_pairing_with_large_denominators(r):
     u[z.m_index(r)], v[z.l_index(r)] = Fraction(1, q), Fraction(1)
     assert pair_dense(u, v) == Fraction(1, q)
     assert not z.is_isotropic([u, v])
+
+
+def standard_generators(r, vectors):
+    """Generators of the standard triple of these cycle classes: the
+    meridians, the longitudes, and the dense kernel of the boundary
+    map."""
+    z = TorusBoundarySpace(r)
+    grid = rows_of(mapping_torus_boundary_map(r, vectors).matrix)
+    l_minus = [unit(z.dim, z.m_index(i)) for i in range(r + 1)]
+    l_zero = [unit(z.dim, z.l_index(i)) for i in range(r + 1)]
+    return z, (l_minus, l_zero, kernel_dense(grid, z.dim))
+
+
+def check_psi(z, generators):
+    triple = WallTriple(z, *(Subspace(z.dim, g) for g in generators))
+    got = wall_correction(triple)
+    w_dim, psi, inertia = psi_dense(*generators, z.dim)
+    assert got.w_dim == w_dim
+    assert rows_of(got.psi) == psi
+    assert got.correction.as_tuple() == inertia
+    return got
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_wall_correction_matches_dense_psi(seed):
+    rng = random.Random(300 + seed)
+    fib = random_fibration(rng, 8, 30)
+    check_psi(*standard_generators(fib.surface.r, fib.class_vectors()))
+
+
+@pytest.mark.parametrize("name", ["large_r16_m80", "wide_r32_m2"])
+def test_wall_correction_matches_dense_psi_at_benchmark_sizes(name):
+    fib = load_document((GOLDEN / f"{name}.json").read_text()).to_fibration()
+    got = check_psi(*standard_generators(fib.surface.r, fib.class_vectors()))
+    assert got.w_dim == fib.cycle_span_dim()
+
+
+def transvection(v):
+    """x -> x + Q(x, v) v, which preserves the torus pairing."""
+    return lambda x: [a + pair_dense(x, v) * b for a, b in zip(x, v)]
+
+
+@pytest.mark.parametrize("r", [1, 3, 5])
+def test_wall_correction_matches_dense_psi_off_coordinate_subspaces(r):
+    # Transvections move L- and L0 off the coordinate subspaces, so the
+    # b-parts combine L0 basis vectors with several nonzero entries; the
+    # moved triple has the same correction as the standard one.
+    rng = random.Random(400 + r)
+    for _ in range(3):
+        m = rng.randint(1, 3 * r)
+        classes = [[rng.choice((-1, 0, 1)) for _ in range(r)] for _ in range(m)]
+        z, generators = standard_generators(r, classes)
+        standard = check_psi(z, generators)
+        moved = generators
+        for _ in range(3):
+            v = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(z.dim)]
+            t = transvection(v)
+            moved = [[t(x) for x in gens] for gens in moved]
+        assert any(sum(1 for x in col if x) > 1 for col in Subspace(z.dim, moved[1]).columns())
+        assert check_psi(z, moved).correction == standard.correction

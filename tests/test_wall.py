@@ -22,6 +22,8 @@ from planarsig.wall import (
     wall_correction,
 )
 
+from test_surfaces import basis_l, basis_m
+
 
 def curves(*subsets):
     return [CurveClass.enclosing(s) for s in subsets]
@@ -46,8 +48,8 @@ def all_proper_subsets(r):
 class TestWallTriple:
     def test_isotropy_enforced(self):
         z = TorusBoundarySpace(0)
-        lag = Subspace(2, [z.basis_m(0)])
-        mixed = Subspace(2, [z.basis_m(0), z.basis_l(0)])
+        lag = Subspace(2, [basis_m(z, 0)])
+        mixed = Subspace(2, [basis_m(z, 0), basis_l(z, 0)])
         with pytest.raises(ValueError, match="isotropic"):
             WallTriple(space=z, l_minus=mixed, l_zero=lag, l_plus=lag)
 
@@ -57,8 +59,8 @@ class TestWallTriple:
         # and only through l_2, an odd index; m_1 + l_2 and l_1 + m_2 pair
         # to 1 - 1 = 0, which a wrongly signed or placed term would spoil.
         z = TorusBoundarySpace(2)
-        l_minus = Subspace(z.dim, [z.basis_m(i) for i in range(3)])
-        l_zero = Subspace(z.dim, [z.basis_l(i) for i in range(3)])
+        l_minus = Subspace(z.dim, [basis_m(z, i) for i in range(3)])
+        l_zero = Subspace(z.dim, [basis_l(z, i) for i in range(3)])
         a = [0, 0, 1, 0, 0, 1]
         assert z.pair(a, [0, 1, 0, 0, 1, 0]) == -1
         bad = Subspace(z.dim, [a, [0, 1, 0, 0, 1, 0]])
@@ -70,7 +72,7 @@ class TestWallTriple:
     def test_ambient_mismatch(self):
         z = TorusBoundarySpace(1)
         small = Subspace(2, [[1, 0]])
-        lag = Subspace(4, [z.basis_m(0)])
+        lag = Subspace(4, [basis_m(z, 0)])
         with pytest.raises(ValueError, match="ambient"):
             WallTriple(space=z, l_minus=small, l_zero=lag, l_plus=lag)
 
@@ -80,8 +82,8 @@ class TestWallCorrection:
         # With L+ equal to L0 the numerator and denominator of the
         # quotient coincide, so the correction vanishes.
         z = TorusBoundarySpace(2)
-        l_minus = Subspace(z.dim, [z.basis_m(i) for i in range(3)])
-        l_zero = Subspace(z.dim, [z.basis_l(i) for i in range(3)])
+        l_minus = Subspace(z.dim, [basis_m(z, i) for i in range(3)])
+        l_zero = Subspace(z.dim, [basis_l(z, i) for i in range(3)])
         result = wall_correction(
             WallTriple(space=z, l_minus=l_minus, l_zero=l_zero, l_plus=l_zero)
         )
@@ -168,7 +170,7 @@ class TestLplus:
         z = TorusBoundarySpace(2)
         kernel = lplus_kernel(mapping_torus_boundary_map(2, []))
         for j in range(1, 3):
-            diff = [a - b for a, b in zip(z.basis_l(j), z.basis_l(0))]
+            diff = [a - b for a, b in zip(basis_l(z, j), basis_l(z, 0))]
             assert diff in kernel
 
     def test_closed_form_single_cycle(self):
@@ -181,7 +183,7 @@ class TestLplus:
         z = TorusBoundarySpace(2)
         gens = []
         for j in range(1, 3):
-            gens.append([a - b for a, b in zip(z.basis_l(j), z.basis_l(0))])
+            gens.append([a - b for a, b in zip(basis_l(z, j), basis_l(z, 0))])
         total_m = [0] * z.dim
         for i in range(3):
             total_m[z.m_index(i)] = 1
