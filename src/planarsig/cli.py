@@ -25,6 +25,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from math import gcd
 
 from . import __version__
 from .fibration import (
@@ -166,14 +167,23 @@ def document_for(fib: PlanarFibration) -> FibrationDocument:
 
 
 def _matrix_strings(M: RationalMatrix, field: str) -> list[list[str]]:
+    """The entries of M as ``str(Fraction)`` prints them, formatted from
+    its stored integer rows: entry x of a row over scale s is x/s."""
+    out = []
     try:
-        return [[str(x) for x in M.row(i)] for i in range(M.n_rows)]
+        for scale, entries in M._rows:
+            row = ["0"] * M.n_cols
+            for j, x in entries.items():
+                g = gcd(x, scale)
+                row[j] = str(x // g) if g == scale else f"{x // g}/{scale // g}"
+            out.append(row)
     except ValueError:  # raised only by Python's limit on int -> str digits
         raise DocumentError(
             "an entry has more digits than Python's limit of "
             f"{sys.get_int_max_str_digits()} for printing an integer",
             field=field,
         ) from None
+    return out
 
 
 def assemble_report(doc: FibrationDocument, fib: PlanarFibration) -> dict:

@@ -1,10 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Everything downstream rests on this module: dense matrices with
-``fractions.Fraction`` entries, subspaces of Q^n in a canonical form,
-linear solving, and signatures of symmetric bilinear forms by
-exact congruence diagonalization.  There are no floats and no
-tolerances anywhere.
+Everything downstream rests on this module: matrices with rational
+entries, subspaces of Q^n in a canonical form, linear solving, and
+signatures of symmetric bilinear forms by exact congruence
+diagonalization.  There are no floats and no tolerances anywhere.
 
 The canonical basis of a subspace is its reduced column echelon form:
 every basis column has a leading 1 (its pivot coordinate), pivot
@@ -27,27 +26,38 @@ dense ``Fraction`` reference.  A rank is its pivot count; a solution
 of ``solve_many`` is read off its pivot rows, each over its lead, and
 only the returned entries become Fractions.
 
+A ``RationalMatrix`` is held as integer rows too: row i is
+``(s, {column: s * x})`` over its nonzero entries x, with s >= 1 the lcm
+of their denominators, which is what ``integer_row`` returns.  Given
+the values, that form is unique, so equality and hashing compare it.
+A matrix of ints is stored without making a Fraction, and ``transpose``,
+``@``, ``is_symmetric`` and the eliminations of ``rank``, ``kernel``,
+``solve_many`` and ``symmetric_signature`` work on the stored rows:
+they multiply integers and take lcms of scales.  Fractions are built
+only when a caller reads entries, through ``M[i, j]``, ``row`` or
+``column``.
+
 A ``Subspace`` is held as integer rows: one primitive integer row per
 canonical basis vector, the multiple with a positive pivot entry, which
 is unique, so two subspaces are equal iff their rows are.  Sums,
 intersections, kernels, quotients, membership and the isotropy check of
 the standard triple pass these rows from one elimination to the next;
-the ``Fraction`` basis is built only when a caller reads ``basis``.
-Kernels, intersections and quotients take one elimination each.  A
-kernel is read off the RREF taken with the columns reversed, whose
+the basis matrix is built from them only when a caller reads
+``basis``.  Kernels, intersections and quotients take one elimination
+each.  A kernel is read off the RREF taken with the columns reversed, whose
 free-variable vectors already are the canonical basis.  An intersection
 is the kernel of both operands' equations, which are read off their
 rows (a coordinate subspace gives one-entry equations).  Representatives
 of a quotient N / D are the N basis vectors whose rows the rows of D
 and of the earlier representatives do not reduce to zero.
 
-The congruence diagonalization of ``symmetric_signature`` clears
-denominators the same way and then stays in integers; ``apply`` skips
-zero factors.  Most entries the signature computations meet are zero,
-because two of the three subspaces of the standard triple are
-coordinate subspaces, so sparse rows touch little.  Entries are coerced
-once, at the public entry points: a Fraction passes through unchanged,
-and so does an int wherever the entries go straight into integer rows.
+The congruence diagonalization of ``symmetric_signature`` scales each
+row and column by its stored scale and then stays in integers.  Most
+entries the signature computations meet are zero, because two of the
+three subspaces of the standard triple are coordinate subspaces, so
+sparse rows touch little.  Entries are coerced once, at the public
+entry points: a Fraction passes through unchanged, and so does an int
+wherever the entries go straight into integer rows.
 """
 
 from __future__ import annotations
@@ -172,12 +182,20 @@ def _eliminate(work: list[dict[int, int]], limit: int, reduced: bool) -> list[in
 
 
 class RationalMatrix:
-    """Immutable dense matrix with Fraction entries."""
+    """Immutable matrix of rationals, held as one integer row per row.
+
+    Row i is stored as ``(s, {column: s * x})``, with an entry for each
+    nonzero x only: s >= 1 is the lcm of the denominators of the row's
+    entries, so s and the stored entries have no common factor.  That
+    form is unique for given values, so ``==`` and ``hash`` compare it
+    directly.  Reading entries (``M[i, j]``, ``row``, ``column``) builds
+    Fractions; every other operation works on the integer rows.
+    """
 
     __slots__ = ("n_rows", "n_cols", "_rows")
 
     def __init__(self, rows: Iterable[Iterable], n_cols: int | None = None):
-        data = tuple(tuple(_frac(x) for x in row) for row in rows)
+        data = [_exact_entries(row) for row in rows]
         if data:
             widths = {len(row) for row in data}
             if len(widths) != 1:
@@ -188,18 +206,25 @@ class RationalMatrix:
             n_cols = width
         elif n_cols is None:
             n_cols = 0
-        self._rows = data
-        self.n_rows = len(data)
-        self.n_cols = n_cols
+        self._set(n_cols, [integer_row(row) for row in data])
 
     @classmethod
-    def _exact(cls, rows: tuple[Vector, ...], n_cols: int) -> "RationalMatrix":
-        """Wrap rows of Fractions as they are: no copy, coercion or check."""
+    def _from_rows(cls, n_cols: int,
+                   rows: Iterable[tuple[int, dict[int, int]]]) -> "RationalMatrix":
+        """The matrix whose row i is ``entries / scale`` for the i-th
+        ``(scale, entries)``: scale >= 1, entries ``{column: nonzero int}``.
+
+        Each row is brought to the stored form by dividing out the gcd
+        of its scale and entries; the dicts are kept, never mutated.
+        """
         self = cls.__new__(cls)
-        self._rows = rows
-        self.n_rows = len(rows)
-        self.n_cols = n_cols
+        self._set(n_cols, [_reduced(scale, entries) for scale, entries in rows])
         return self
+
+    def _set(self, n_cols: int, rows: Sequence[tuple[int, dict[int, int]]]) -> None:
+        self._rows = tuple(rows)
+        self.n_rows = len(self._rows)
+        self.n_cols = n_cols
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -207,7 +232,7 @@ class RationalMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], n_rows: int | None = None) -> "RationalMatrix":
-        cols = [vector(c) for c in columns]
+        cols = [_exact_entries(c) for c in columns]
         if cols:
             heights = {len(c) for c in cols}
             if len(heights) != 1:
@@ -217,18 +242,7 @@ class RationalMatrix:
                 raise ValueError("column height does not match n_rows")
         elif n_rows is None:
             n_rows = 0
-        return cls([[c[i] for c in cols] for i in range(n_rows)], n_cols=len(cols))
-
-    @classmethod
-    def hstack(cls, *mats: "RationalMatrix") -> "RationalMatrix":
-        if not mats:
-            raise ValueError("nothing to stack")
-        height = {m.n_rows for m in mats}
-        if len(height) != 1:
-            raise ValueError("row counts differ")
-        n_rows = height.pop()
-        rows = [sum((m.row(i) for m in mats), ()) for i in range(n_rows)]
-        return cls(rows, n_cols=sum(m.n_cols for m in mats))
+        return cls._from_rows(n_rows, map(integer_row, cols)).transpose()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -236,61 +250,83 @@ class RationalMatrix:
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self._rows[i][j]
+        scale, row = self._rows[i]
+        x = row.get(range(self.n_cols)[j])
+        return _ZERO if x is None else Fraction(x, scale)
 
     def row(self, i: int) -> Vector:
-        return self._rows[i]
+        scale, row = self._rows[i]
+        out = [_ZERO] * self.n_cols
+        for j, x in row.items():
+            out[j] = Fraction(x, scale)
+        return tuple(out)
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self._rows)
+        j = range(self.n_cols)[j]
+        return tuple(Fraction(row[j], scale) if j in row else _ZERO for scale, row in self._rows)
 
     def columns(self) -> tuple[Vector, ...]:
         return tuple(self.column(j) for j in range(self.n_cols))
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self._rows[i][j] for i in range(self.n_rows)] for j in range(self.n_cols)],
-            n_cols=self.n_rows,
-        )
+        """Rows become columns; each new row is put over the lcm of the
+        scales of the rows it takes entries from."""
+        terms: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n_cols)]
+        for i, (scale, row) in enumerate(self._rows):
+            for j, x in row.items():
+                terms[j].append((i, x, scale))
+        out = []
+        for entries in terms:
+            scale = lcm(*(s for _, _, s in entries))
+            out.append((scale, {i: x * (scale // s) for i, x, s in entries}))
+        return RationalMatrix._from_rows(self.n_rows, out)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
+        """Row i of the product, over the scale s_i * lcm of the scales
+        t_j of the rows of ``other`` it meets, is a sum of integer rows."""
         if self.n_cols != other.n_rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        ocols = other.columns()
-        rows = [
-            [sum(a * b for a, b in zip(row, col)) for col in ocols]
-            for row in self._rows
-        ]
-        return RationalMatrix(rows, n_cols=other.n_cols)
+        orows = other._rows
+        out = []
+        for scale, row in self._rows:
+            common = lcm(*(orows[j][0] for j in row))
+            acc: dict[int, int] = {}
+            for j, x in row.items():
+                t, b = orows[j]
+                f = x * (common // t)
+                for k, y in b.items():
+                    acc[k] = acc.get(k, 0) + f * y
+            out.append((scale * common, {k: v for k, v in acc.items() if v}))
+        return RationalMatrix._from_rows(other.n_cols, out)
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix times column vector."""
-        w = vector(v)
+        w = _exact_entries(v)
         if len(w) != self.n_cols:
             raise ValueError(f"vector of length {len(w)} against {self.shape} matrix")
-        support = [(j, x) for j, x in enumerate(w) if x]
+        t, x = integer_row(w)
         return tuple(
-            sum((row[j] * x for j, x in support if row[j]), Fraction(0))
-            for row in self._rows
+            Fraction(sum(a * x[j] for j, a in row.items() if j in x), s * t)
+            for s, row in self._rows
         )
 
     def is_symmetric(self) -> bool:
-        if self.n_rows != self.n_cols:
-            return False
-        return all(
-            self._rows[i][j] == self._rows[j][i]
-            for i in range(self.n_rows)
-            for j in range(i)
-        )
+        return self.n_rows == self.n_cols and self == self.transpose()
+
+    def _primitive_rows(self) -> list[dict[int, int]]:
+        """Copies of the stored rows with their content divided out."""
+        work = [dict(row) for _, row in self._rows]
+        for row in work:
+            _divide_content(row)
+        return work
 
     def rank(self) -> int:
-        work = [_primitive(row) for row in self._rows]
-        return len(_eliminate(work, self.n_cols, reduced=False))
+        return len(_eliminate(self._primitive_rows(), self.n_cols, reduced=False))
 
     def kernel(self) -> "Subspace":
         """Null space {x : Mx = 0} as a canonical subspace of Q^n_cols,
         read off one elimination (see ``_null_space``)."""
-        return _null_space([_primitive(row) for row in self._rows], self.n_cols)
+        return _null_space(self._primitive_rows(), self.n_cols)
 
     def __eq__(self, other) -> bool:
         return (
@@ -300,11 +336,21 @@ class RationalMatrix:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n_cols, self._rows))
+        rows = tuple((scale, frozenset(row.items())) for scale, row in self._rows)
+        return hash((self.n_cols, rows))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
+        body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.n_rows))
         return f"RationalMatrix({self.n_rows}x{self.n_cols}: {body})"
+
+
+def _reduced(scale: int, row: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """``(scale, row)`` with the gcd of scale and the entries divided out."""
+    if scale != 1:
+        g = gcd(scale, *row.values())
+        if g > 1:
+            return scale // g, {j: x // g for j, x in row.items()}
+    return scale, row
 
 
 def _primitive(row: Sequence) -> dict[int, int]:
@@ -391,7 +437,17 @@ def solve_many(M: RationalMatrix, rhs: Sequence[Sequence]) -> list[Vector | None
         if len(b) != M.n_rows:
             raise ValueError(f"right-hand side of length {len(b)} against {M.shape} matrix")
     n = M.n_cols
-    work = [_primitive(row + tuple(b[i] for b in targets)) for i, row in enumerate(M._rows)]
+    work = []
+    for i, (scale, row) in enumerate(M._rows):
+        t, tail = integer_row([b[i] for b in targets])
+        common = lcm(scale, t)
+        f = common // scale
+        w = {j: x * f for j, x in row.items()} if f != 1 else dict(row)
+        f = common // t
+        for k, y in tail.items():
+            w[n + k] = y * f
+        _divide_content(w)
+        work.append(w)
     pivots = _eliminate(work, n, reduced=True)
     rank = len(pivots)
     out: list[Vector | None] = []
@@ -455,13 +511,9 @@ class Subspace:
         """The canonical basis: reduced column echelon form, with a
         leading 1 at each pivot coordinate."""
         if self._basis is None:
-            dim = len(self._rows)
-            grid = [[_ZERO] * dim for _ in range(self.ambient_dim)]
-            for t, (p, row) in enumerate(zip(self._pivots, self._rows)):
-                lead = row[p]
-                for j, x in row.items():
-                    grid[j][t] = Fraction(x, lead)
-            self._basis = RationalMatrix._exact(tuple(map(tuple, grid)), n_cols=dim)
+            # Basis vector t is row t over its pivot entry.
+            vectors = [(row[p], row) for p, row in zip(self._pivots, self._rows)]
+            self._basis = RationalMatrix._from_rows(self.ambient_dim, vectors).transpose()
         return self._basis
 
     @property
@@ -585,7 +637,7 @@ def symmetric_signature(S: RationalMatrix) -> SignatureTriple:
     """Inertia of an exactly symmetric matrix by congruence diagonalization.
 
     Row i and column i are first scaled by s_i, the lcm of row i's
-    denominators.  That is the congruence D S D with D = diag(s), whose
+    denominators, which is the scale the row is stored with.  That is the congruence D S D with D = diag(s), whose
     entries s_i s_j S[i][j] are integers (by symmetry the denominator of
     S[i][j] divides s_j), and D is positive definite, so by Sylvester's
     law of inertia the sign counts do not change.  The elimination then
@@ -602,11 +654,10 @@ def symmetric_signature(S: RationalMatrix) -> SignatureTriple:
         raise ValueError(f"matrix of shape {S.shape} is not square")
     if not S.is_symmetric():
         raise ValueError("matrix is not exactly symmetric")
-    scaled = [integer_row(row) for row in S._rows]
     A = [[0] * n for _ in range(n)]
-    for row, (_, entries) in zip(A, scaled):
+    for row, (_, entries) in zip(A, S._rows):
         for j, x in entries.items():
-            row[j] = x * scaled[j][0]
+            row[j] = x * S._rows[j][0]
     n_plus = n_minus = 0
     k = 0
     while k < n:

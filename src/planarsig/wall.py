@@ -21,6 +21,7 @@ from closed-form generators, and the two must agree on every instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Sequence
 
 from .linalg import (
@@ -82,12 +83,12 @@ class WallCorrection:
 def wall_correction(triple: WallTriple) -> WallCorrection:
     """Compute the quotient W, the form Psi on it, and its signature.
 
-    The b-part of a solution x is sum_k x_k e_k over L0's canonical
-    basis vectors e_k, each its integer row over the row's pivot entry;
-    for the longitudes of the standard triple that places each x_k at
-    L0's pivot.  Each representative a and b-part b is scaled once to
-    an integer vector, a = A / s and b = B / t, so that
-    Psi(a, b) = Q(A, B) / (s t) pairs integers.
+    Each representative a is decomposed on the integer rows R_k of L0
+    and L+ taken as columns, -a = sum_k y_k R_k, so its b-part is
+    b = sum_k y_k R_k over L0's rows.  Each representative and b-part
+    is scaled once to an integer vector, a = A / s and b = B / t, so
+    that Psi(a, b) = Q(A, B) / (s t) pairs integers, and Psi is built
+    straight from those integer rows.
     """
     lm, l0, lp = triple.l_minus, triple.l_zero, triple.l_plus
     numerator = lm & (l0 + lp)
@@ -97,8 +98,8 @@ def wall_correction(triple: WallTriple) -> WallCorrection:
     n = triple.space.dim
 
     # Decompose each representative a' as -(b' + c'), b' in L0, c' in L+.
-    system = RationalMatrix.hstack(l0.basis, lp.basis)
-    solutions = solve_many(system, [tuple(-x for x in rep) for rep in reps])
+    generators = RationalMatrix._from_rows(n, [(1, row) for row in l0._rows + lp._rows])
+    solutions = solve_many(generators.transpose(), [tuple(-x for x in rep) for rep in reps])
     b_parts: list[tuple[int, list[int]]] = []
     for sol in solutions:
         if sol is None:
@@ -106,27 +107,38 @@ def wall_correction(triple: WallTriple) -> WallCorrection:
                 "quotient representative failed to decompose inside L0 + L+; "
                 "this cannot happen for a valid triple and indicates a bug"
             )
-        b = [0] * n
-        for x, p, row in zip(sol, l0._pivots, l0._rows):
-            if x:
-                lead = row[p]
-                for j, y in row.items():
-                    b[j] += x if y == lead else x * y / lead
-        b_parts.append(_dense_integer(b))
+        ys = sol[: l0.dim]
+        t = lcm(*(y.denominator for y in ys))
+        B = [0] * n
+        for y, row in zip(ys, l0._rows):
+            if y:
+                c = y.numerator * (t // y.denominator)
+                for j, x in row.items():
+                    B[j] += c * x
+        b_parts.append((t, B))
 
+    # Row i of Psi over s_i T, T the lcm of the t_j, has the integer
+    # entries Q(A_i, B_j) T / t_j.
     pair = triple.space.pair
-    grid = []
+    common = lcm(*(t for t, _ in b_parts))
+    rows = []
     for a in reps:
-        s, A = _dense_integer(a)
-        grid.append([pair(A, B) / (s * t) for t, B in b_parts])
-    for i in range(w_dim):
-        for j in range(i):
-            if grid[i][j] != grid[j][i]:
-                raise RuntimeError(
-                    "induced form came out asymmetric; the triple violates "
-                    "the well-definedness hypotheses"
-                )
-    psi = RationalMatrix(grid, n_cols=w_dim)
+        s, entries = integer_row(a)
+        A = [0] * n
+        for j, x in entries.items():
+            A[j] = x
+        row = {}
+        for k, (t, B) in enumerate(b_parts):
+            q = pair(A, B).numerator
+            if q:
+                row[k] = q * (common // t)
+        rows.append((s * common, row))
+    psi = RationalMatrix._from_rows(w_dim, rows)
+    if not psi.is_symmetric():
+        raise RuntimeError(
+            "induced form came out asymmetric; the triple violates "
+            "the well-definedness hypotheses"
+        )
     correction = symmetric_signature(psi)
     return WallCorrection(
         w_dim=w_dim,
@@ -135,16 +147,6 @@ def wall_correction(triple: WallTriple) -> WallCorrection:
         correction=correction,
         defect=correction.signature,
     )
-
-
-def _dense_integer(v: Sequence) -> tuple[int, list[int]]:
-    """``(s, A)`` with s >= 1 the lcm of the denominators of ``v`` and
-    A = s v as a list of ints."""
-    s, entries = integer_row(v)
-    A = [0] * len(v)
-    for j, x in entries.items():
-        A[j] = x
-    return s, A
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,6 @@ def mapping_torus_boundary_map(
     ``vectors`` are the cycle classes in the basis (m_1, ..., m_r) of
     the fiber's first homology, one per vanishing cycle.
     """
-    # Integer entries; RationalMatrix turns each into a Fraction once.
     grid = [[0] * (2 * (r + 1)) for _ in range(r + 1)]
     space = TorusBoundarySpace(r)
     # m_0 column: -(m_1 + ... + m_r).

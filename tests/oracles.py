@@ -103,6 +103,16 @@ def inertia_by_descartes(rows):
     return (n_plus, n - n_zero - n_plus, n_zero)
 
 
+def matmul_dense(a, b, n_cols):
+    """The product of the dense grids ``a`` and ``b``, every term taken;
+    ``n_cols`` is the width of b, which an empty b does not show."""
+    return [
+        [sum((Fraction(x) * Fraction(row[k]) for x, row in zip(arow, b)), Fraction(0))
+         for k in range(n_cols)]
+        for arow in a
+    ]
+
+
 def echelonize_dense(rows, reduced=True, pivot_limit=None):
     """Row-reduce in place with leftmost pivots, touching every entry."""
     n_rows = len(rows)

@@ -3,13 +3,15 @@ import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planarsig.cli import DocumentError, load_document, main
+from planarsig.cli import DocumentError, _matrix_strings, load_document, main
 from planarsig.fibration import PlanarFibration
+from planarsig.linalg import RationalMatrix
 from planarsig.properties import CHECK_NAMES, check_fibration
 from planarsig.surfaces import CurveClass, PlanarSurface
 
@@ -150,6 +152,26 @@ class TestCompute:
         code, out = run_compute(capsys, doc)
         assert code == 0
         assert json.loads(out)["d"] == 2
+
+
+class TestMatrixStrings:
+    def test_entries_print_as_str_of_fraction(self):
+        big = Fraction(10**40 + 1, 10**20)
+        rows = [
+            [Fraction(-6, 4), 0, Fraction(8, 4), -7, "3/9", big],
+            [0] * 6,
+            # One scale for the row (6), but each entry reduces on its own.
+            [Fraction(1, 2), Fraction(1, 3), Fraction(-5, 6), 12, "-4/2", -big],
+        ]
+        got = _matrix_strings(RationalMatrix(rows), "m")
+        assert got == [[str(Fraction(x)) for x in row] for row in rows]
+        assert got[0][:4] == ["-3/2", "0", "2", "-7"]
+        assert got[2][:5] == ["1/2", "1/3", "-5/6", "12", "-2"]
+
+    def test_empty_shapes(self):
+        assert _matrix_strings(RationalMatrix([]), "m") == []
+        assert _matrix_strings(RationalMatrix([], n_cols=3), "m") == []
+        assert _matrix_strings(RationalMatrix([[], []]), "m") == [[], []]
 
 
 class TestEchoRoundTrip:
@@ -307,7 +329,7 @@ class TestValidation:
         assert main(["compute", "-"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith("error: wall.psi_matrix: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 

@@ -27,6 +27,14 @@ def rows_of(M):
     return [list(M.row(i)) for i in range(M.n_rows)]
 
 
+def hstack(*mats):
+    """The matrices side by side, as one RationalMatrix."""
+    return RationalMatrix(
+        [sum((M.row(i) for M in mats), ()) for i in range(mats[0].n_rows)],
+        n_cols=sum(M.n_cols for M in mats),
+    )
+
+
 def rand_matrix(rng, n_rows, n_cols, lo=-5, hi=5):
     return RationalMatrix([[rng.randint(lo, hi) for _ in range(n_cols)] for _ in range(n_rows)])
 
@@ -277,9 +285,7 @@ class TestSolve:
             M = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
             b = [rng.randint(-5, 5) for _ in range(M.n_rows)]
             x = solve_many(M, [b])[0]
-            augmented = RationalMatrix.hstack(
-                M, RationalMatrix.from_columns([b], n_rows=M.n_rows)
-            )
+            augmented = hstack(M, RationalMatrix.from_columns([b], n_rows=M.n_rows))
             consistent = augmented.rank() == M.rank()
             assert (x is not None) == consistent
             if x is not None:
