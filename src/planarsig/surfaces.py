@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import integer_row, refuse_floats
+from .linalg import Subspace, refuse_floats
 
 
 class NonAllowableCycleError(ValueError):
@@ -153,6 +153,7 @@ class PlanarSurface:
         return CurveClass(encloses=complement, sign=-curve.sign)
 
 
+@dataclass(frozen=True, slots=True)
 class TorusBoundarySpace:
     """H_1 of the union of r+1 boundary tori, with its intersection pairing.
 
@@ -160,12 +161,11 @@ class TorusBoundarySpace:
     skew-symmetric and unimodular with Q(m_i, l_j) = delta_ij.
     """
 
-    __slots__ = ("r",)
+    r: int
 
-    def __init__(self, r: int):
-        if r < 0:
+    def __post_init__(self):
+        if self.r < 0:
             raise ValueError("boundary count parameter r must be >= 0")
-        self.r = r
 
     @property
     def dim(self) -> int:
@@ -208,42 +208,23 @@ class TorusBoundarySpace:
                     total -= a * b
         return Fraction(total)
 
-    def is_isotropic(self, vectors: Sequence[Sequence]) -> bool:
-        """True iff Q(u, v) = 0 for every pair of the given vectors.
+    def is_isotropic(self, sub: Subspace) -> bool:
+        """True iff Q(u, v) = 0 for all u, v in the subspace.
 
-        Same checks as ``pair``.  Each vector is first scaled by the
-        positive lcm of its denominators (``integer_row``); Q is
-        bilinear, so a nonzero scaling of u or v does not change whether
-        Q(u, v) is zero.  The pairings are then summed in integers by
-        ``is_isotropic_rows``.
-        """
-        if any(len(u) != self.dim for u in vectors):
-            raise ValueError(f"vectors must have length {self.dim}")
-        refuse_floats(*vectors)
-        return self.is_isotropic_rows([integer_row(u)[1] for u in vectors])
-
-    def is_isotropic_rows(self, rows: Sequence[dict[int, int]]) -> bool:
-        """``is_isotropic`` for integer vectors held sparsely as
-        ``{coordinate: entry}`` with no zero entries, unchecked.
-
-        Each vector's entries are collected once, as the sparse vector
-        Ju with Q(u, v) = Ju . v: m_i pairs with the l_i entry of v and
+        Checked on its integer rows, positive multiples of its canonical
+        basis vectors held sparsely as ``{coordinate: entry}``: Q is
+        bilinear, so scaling does not change whether a pairing is zero.
+        Each row's entries are collected once, as the sparse vector Ju
+        with Q(u, v) = Ju . v: m_i pairs with the l_i entry of v and
         l_i, negated, with its m_i entry.  Q(u, u) = 0 by
         skew-symmetry, so only distinct pairs are summed.
         """
+        if sub.ambient_dim != self.dim:
+            raise ValueError(f"subspace of Q^{sub.ambient_dim} in the ambient Q^{self.dim}")
+        rows = sub._rows
         for k, u in enumerate(rows):
             ju = [(i + 1, a) if i % 2 == 0 else (i - 1, -a) for i, a in u.items()]
             for v in rows[:k]:
                 if sum(a * v[j] for j, a in ju if j in v):
                     return False
         return True
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TorusBoundarySpace) and self.r == other.r
-
-    def __hash__(self) -> int:
-        return hash(("TorusBoundarySpace", self.r))
-
-    def __repr__(self) -> str:
-        return f"TorusBoundarySpace(r={self.r})"
-

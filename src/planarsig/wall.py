@@ -41,9 +41,8 @@ from .surfaces import TorusBoundarySpace
 class WallTriple:
     """Three isotropic subspaces of a skew-paired ambient space.
 
-    Isotropy of each subspace is checked at construction, on its
-    integer rows: they are positive multiples of its canonical basis
-    vectors, and scaling does not change whether a pairing is zero.
+    Isotropy of each subspace, and that it lives in the ambient space,
+    is checked at construction by ``TorusBoundarySpace.is_isotropic``.
     """
 
     space: TorusBoundarySpace
@@ -52,15 +51,12 @@ class WallTriple:
     l_plus: Subspace
 
     def __post_init__(self):
-        n = self.space.dim
         for name, sub in (
             ("l_minus", self.l_minus),
             ("l_zero", self.l_zero),
             ("l_plus", self.l_plus),
         ):
-            if sub.ambient_dim != n:
-                raise ValueError(f"{name} lives in Q^{sub.ambient_dim}, ambient is Q^{n}")
-            if not self.space.is_isotropic_rows(sub._rows):
+            if not self.space.is_isotropic(sub):
                 raise ValueError(f"{name} is not isotropic for the pairing")
 
 
@@ -254,8 +250,8 @@ def standard_triple(bmap: MappingTorusBoundaryMap) -> WallTriple:
 def psi_gram_closed_form(r: int, vectors: Sequence[Sequence[int]]) -> RationalMatrix:
     """Gram matrix of the induced form on its standard generating set.
 
-    Equals B * B^T where the columns of B are the cycle class vectors;
+    Equals V^T * V where the rows of V are the cycle class vectors;
     positive semidefinite of rank equal to the span of the cycles.
     """
-    B = RationalMatrix.from_columns(vectors, n_rows=r)
-    return B @ B.transpose()
+    V = RationalMatrix(vectors, n_cols=r)
+    return V.transpose() @ V

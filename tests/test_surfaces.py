@@ -3,6 +3,7 @@ from itertools import chain, combinations
 
 import pytest
 
+from planarsig.linalg import Subspace
 from planarsig.surfaces import CurveClass, PlanarSurface, TorusBoundarySpace
 
 
@@ -141,6 +142,22 @@ class TestTorusBoundarySpace:
         assert z.m_index(0) == 0
         assert z.l_index(0) == 1
         assert z.m_index(2) == 4
+
+    def test_value_semantics(self):
+        assert TorusBoundarySpace(2) == TorusBoundarySpace(2)
+        assert hash(TorusBoundarySpace(2)) == hash(TorusBoundarySpace(2))
+        assert TorusBoundarySpace(2) != TorusBoundarySpace(3)
+        assert len({TorusBoundarySpace(2), TorusBoundarySpace(2), TorusBoundarySpace(0)}) == 2
+        assert repr(TorusBoundarySpace(2)) == "TorusBoundarySpace(r=2)"
+        with pytest.raises(ValueError):
+            TorusBoundarySpace(-1)
+
+    def test_is_isotropic_refuses_other_ambient_dimensions(self):
+        z = TorusBoundarySpace(1)
+        assert z.is_isotropic(Subspace(4, [basis_m(z, 0), basis_m(z, 1)]))
+        for n in (2, 6):
+            with pytest.raises(ValueError, match="ambient"):
+                z.is_isotropic(Subspace(n, [[1] + [0] * (n - 1)]))
 
     def test_pairing_on_basis(self):
         z = TorusBoundarySpace(3)

@@ -115,7 +115,7 @@ class TestWallCorrection:
         for _ in range(30):
             r = rng.randint(1, 5)
             cs = curves(*(random_proper_subset(rng, r) for _ in range(rng.randint(0, 8))))
-            fib_rank = RationalMatrix.from_columns(class_vectors(r, cs), n_rows=r).rank()
+            fib_rank = RationalMatrix(class_vectors(r, cs), n_cols=r).transpose().rank()
             result = wall_correction(triple_of(r, cs))
             assert result.correction == SignatureTriple(result.w_dim, 0, 0)
             assert result.w_dim == fib_rank
@@ -249,7 +249,7 @@ class TestGramClosedForm:
             r = rng.randint(1, 5)
             cs = curves(*(random_proper_subset(rng, r) for _ in range(rng.randint(0, 8))))
             xs = class_vectors(r, cs)
-            B = RationalMatrix.from_columns(xs, n_rows=r)
+            B = RationalMatrix(xs, n_cols=r).transpose()
             assert psi_gram_closed_form(r, xs).rank() == B.rank()
 
     def test_gram_inertia(self):
@@ -260,7 +260,7 @@ class TestGramClosedForm:
             r = rng.randint(1, 5)
             cs = curves(*(random_proper_subset(rng, r) for _ in range(rng.randint(0, 8))))
             xs = class_vectors(r, cs)
-            d = RationalMatrix.from_columns(xs, n_rows=r).rank()
+            d = RationalMatrix(xs, n_cols=r).transpose().rank()
             sig = symmetric_signature(psi_gram_closed_form(r, xs))
             assert sig == SignatureTriple(d, 0, r - d)
 
