@@ -16,12 +16,18 @@ Subcommands:
 Exit codes: 0 success, 1 fuzz property violation, 2 parse/validation
 error, 3 null-homologous cycle without --force, 4 internal signature
 disagreement (never expected; indicates a bug).
+
+A reader that closes stdout early (``planarsig compute doc.json | head``)
+changes neither: the rest of the output is discarded, nothing is printed
+to stderr for it, and the command exits with the code it would have
+returned had the reader kept reading.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -279,9 +285,9 @@ def cmd_compute(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     if args.format == "table":
-        print(render_table(report))
+        _print(render_table(report))
     else:
-        print(json.dumps(report, indent=2))
+        _print(json.dumps(report, indent=2))
     if not report["oracle_agrees"]:
         print(
             "error: the two signature computations disagree; this is a bug",
@@ -310,10 +316,12 @@ def cmd_examples(args) -> int:
         "report": report,
     }
     if args.format == "table":
-        print(f"family {args.family}, r = {args.r}, expected signature {expected}")
-        print(render_table(report))
+        _print(
+            f"family {args.family}, r = {args.r}, expected signature {expected}\n"
+            + render_table(report)
+        )
     else:
-        print(json.dumps(out, indent=2))
+        _print(json.dumps(out, indent=2))
     if report["sigma"] != expected or not report["oracle_agrees"]:
         print(
             "error: computed report contradicts the family's closed form; "
@@ -366,7 +374,7 @@ def cmd_fuzz(args) -> int:
         "failures": failures,
         "ok": not failures,
     }
-    print(json.dumps(summary, indent=2))
+    _print(json.dumps(summary, indent=2))
     return EXIT_OK if not failures else EXIT_FUZZ_FAILURE
 
 
@@ -425,8 +433,36 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def _print(text: str) -> None:
+    """Print ``text`` and a newline to stdout.  If the reader has gone
+    away, the rest of the output is discarded and the command goes on
+    to the exit code it would return anyway."""
+    try:
+        print(text)
+    except BrokenPipeError:
+        _discard_stdout()
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so that every
+    later write and flush, the interpreter's last one included, succeeds
+    with no reader."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def entry() -> None:
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    finally:
+        # Output that fits the buffer is written only by a flush.  At
+        # interpreter exit a closed reader would make that flush print
+        # "Exception ignored" and exit 120, so it is done here.
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _discard_stdout()
 
 
 if __name__ == "__main__":

@@ -22,9 +22,14 @@ content is divided out again (``_clear``).  Clearing a column commutes
 with scaling rows by nonzero numbers, so every integer row stays a
 nonzero multiple of the row that ``Fraction`` elimination would hold at
 the same step.  ``_eliminate`` is that loop, and the tests hold it to a
-dense ``Fraction`` reference.  A rank is its pivot count; a solution
-of ``solve_many`` is read off its pivot rows, each over its lead, and
-only the returned entries become Fractions.
+dense ``Fraction`` reference.  Its work follows the nonzero entries, not
+rows times columns: rows below the pivots wait in buckets keyed by
+their lowest column, so the pivot search for a column reads only the
+rows that start there, and a reduced form is finished by back
+substitution, which clears each pivot row only at the later pivot
+columns it holds.  A rank is its pivot count; a solution of
+``solve_many`` is read off its pivot rows, each over its lead, and only
+the returned entries become Fractions.
 
 A ``RationalMatrix`` is held as integer rows too: row i is
 ``(s, {column: s * x})`` over its nonzero entries x, with s >= 1 the lcm
@@ -149,35 +154,76 @@ def _eliminate(work: list[dict[int, int]], limit: int, reduced: bool) -> list[in
     """Row-reduce the integer rows ``work`` in place with leftmost pivots
     among the first ``limit`` columns, and return the pivot columns.
 
+    The forward pass is Gaussian elimination that takes, for column c,
+    the first row at or below ``rank`` holding c as pivot, swaps it up
+    to ``rank`` and clears c in the rows below.  Those rows are zero
+    left of c, so a row holds c exactly when c is its lowest column:
+    rows below the pivots wait in buckets keyed by their lowest column
+    (below ``limit``), the pivot is the lowest position in bucket c,
+    and a row is re-bucketed once it is cleared.  Columns no row starts
+    at cost one dict lookup.  With ``reduced``, back substitution then
+    clears each pivot row, bottom-up, at the later pivot columns it
+    holds, using the pivot rows below it, which are already reduced.
+
     Each step is ``_clear``, so every row stays a nonzero multiple of the
     row that ``Fraction`` elimination would hold at the same step, and a
     row that enters primitive stays primitive.  Pivot row i over its
     entry at ``pivots[i]`` is therefore the ``Fraction`` row, and a row
     left without a pivot, which only ``limit`` leaves nonzero, is a
-    nonzero multiple of it.  With ``reduced`` each pivot column is
-    cleared above as well as below its pivot row.
+    nonzero multiple of it.  A reduced pivot row is the unique row of
+    the span of the forward pivot rows with its lead at its pivot and
+    zeros at the other pivots, so it is the row a sweep that clears
+    above and below each pivot in turn would hold, up to sign.
     """
-    n_rows = len(work)
+    buckets: dict[int, list[int]] = {}
+    # low[i]: the bucket that row i waits in, or None; kept for the rows
+    # at or below ``rank``.
+    low: list[int | None] = [None] * len(work)
+    for i, row in enumerate(work):
+        if row:
+            c = min(row)
+            if c < limit:
+                low[i] = c
+                buckets.setdefault(c, []).append(i)
     pivots: list[int] = []
     rank = 0
     for c in range(limit):
-        if rank == n_rows:
+        if not buckets:
             break
-        p = next((i for i in range(rank, n_rows) if c in work[i]), None)
-        if p is None:
+        bucket = buckets.pop(c, None)
+        if bucket is None:
             continue
+        p = min(bucket)
         if p != rank:
+            # The row at ``rank`` does not hold c, or it would be the
+            # pivot; it moves to p.
+            moved = low[rank]
+            if moved is not None:
+                held = buckets[moved]
+                held[held.index(rank)] = p
             work[rank], work[p] = work[p], work[rank]
+            low[p] = moved
         pivot = work[rank]
         lead = pivot[c]
-        span = range(n_rows) if reduced else range(rank + 1, n_rows)
-        for i in span:
-            row = work[i]
-            f = row.get(c)
-            if f is not None and i != rank:
-                _clear(row, pivot, lead, f)
+        for i in bucket:
+            if i != p:
+                row = work[i]
+                _clear(row, pivot, lead, row[c])
+                first = min(row) if row else limit
+                if first < limit:
+                    low[i] = first
+                    buckets.setdefault(first, []).append(i)
+                else:
+                    low[i] = None
         pivots.append(c)
         rank += 1
+    if reduced:
+        where = {c: k for k, c in enumerate(pivots)}
+        for k in range(rank - 2, -1, -1):
+            row = work[k]
+            for c in [c for c in row if c in where and where[c] != k]:
+                pivot = work[where[c]]
+                _clear(row, pivot, pivot[c], row[c])
     return pivots
 
 

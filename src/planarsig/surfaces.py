@@ -211,20 +211,29 @@ class TorusBoundarySpace:
     def is_isotropic(self, sub: Subspace) -> bool:
         """True iff Q(u, v) = 0 for all u, v in the subspace.
 
-        Checked on its integer rows, positive multiples of its canonical
-        basis vectors held sparsely as ``{coordinate: entry}``: Q is
-        bilinear, so scaling does not change whether a pairing is zero.
-        Each row's entries are collected once, as the sparse vector Ju
-        with Q(u, v) = Ju . v: m_i pairs with the l_i entry of v and
-        l_i, negated, with its m_i entry.  Q(u, u) = 0 by
+        Checked on its integer rows R, positive multiples of its
+        canonical basis vectors held sparsely as ``{coordinate: entry}``:
+        Q is bilinear, so scaling does not change whether a pairing is
+        zero.  R J R^T is accumulated row by row through a map from each
+        coordinate to the (row, entry) pairs of the rows before: the
+        m_i entry of a row pairs with the l_i entries seen so far, and
+        its l_i entry, negated, with the m_i entries.  Only products of
+        two nonzero entries are formed, so rows with no partner
+        coordinates (a coordinate subspace) cost nothing, and the check
+        stops at the first row with a nonzero pairing.  Q(u, u) = 0 by
         skew-symmetry, so only distinct pairs are summed.
         """
         if sub.ambient_dim != self.dim:
             raise ValueError(f"subspace of Q^{sub.ambient_dim} in the ambient Q^{self.dim}")
-        rows = sub._rows
-        for k, u in enumerate(rows):
-            ju = [(i + 1, a) if i % 2 == 0 else (i - 1, -a) for i, a in u.items()]
-            for v in rows[:k]:
-                if sum(a * v[j] for j, a in ju if j in v):
-                    return False
+        seen: dict[int, list[tuple[int, int]]] = {}
+        for k, u in enumerate(sub._rows):
+            pairings: dict[int, int] = {}
+            for i, a in u.items():
+                j, a = (i + 1, a) if i % 2 == 0 else (i - 1, -a)
+                for t, b in seen.get(j, ()):
+                    pairings[t] = pairings.get(t, 0) + a * b
+            if any(pairings.values()):
+                return False
+            for i, a in u.items():
+                seen.setdefault(i, []).append((k, a))
         return True

@@ -164,31 +164,37 @@ class MappingTorusBoundaryMap:
 def mapping_torus_boundary_map(
     r: int, vectors: Sequence[Sequence[int]]
 ) -> MappingTorusBoundaryMap:
-    """Assemble the boundary-inclusion matrix column by column.
+    """Assemble the boundary-inclusion matrix as integer rows.
 
     ``vectors`` are the cycle classes in the basis (m_1, ..., m_r) of
     the fiber's first homology, one per vanishing cycle.
     """
-    grid = [[0] * (2 * (r + 1)) for _ in range(r + 1)]
     space = TorusBoundarySpace(r)
-    # m_0 column: -(m_1 + ... + m_r).
-    for i in range(r):
-        grid[i][space.m_index(0)] = -1
-    # m_j columns are fixed; l_0 maps to itself.
-    for j in range(1, r + 1):
-        grid[j - 1][space.m_index(j)] = 1
-    grid[r][space.l_index(0)] = 1
-    # l_j columns: l_0 - sum_s Q(gamma_s, l_j) gamma_s, and Q(gamma_s, l_j)
-    # is the j-th m coefficient of gamma_s.
-    for j in range(1, r + 1):
-        col = space.l_index(j)
-        grid[r][col] = 1
-        for x in vectors:
-            c = x[j - 1]
-            if c:
-                for i in range(r):
-                    grid[i][col] -= c * x[i]
-    return MappingTorusBoundaryMap(r=r, matrix=RationalMatrix(grid))
+    # The m_0 column is -(m_1 + ... + m_r) and m_j maps to m_j.
+    rows = [{space.m_index(0): -1, space.m_index(i + 1): 1} for i in range(r)]
+    # l_0 maps to itself, and so does the l_0 part of every l_j.
+    rows.append({space.l_index(j): 1 for j in range(r + 1)})
+    # The rest of l_j is -sum_s Q(gamma_s, l_j) gamma_s, and Q(gamma_s, l_j)
+    # is the j-th m coefficient of gamma_s.  Each column is summed over
+    # the cycles whose coefficient is nonzero, and its nonzero entries
+    # are placed in their rows.
+    terms: list[list] = [[] for _ in range(r)]
+    for x in vectors:
+        support = [(i, y) for i, y in enumerate(x) if y]
+        for j, c in support:
+            terms[j].append((c, support))
+    for j, column_terms in enumerate(terms):
+        if column_terms:
+            col = [0] * r
+            for c, support in column_terms:
+                for i, y in support:
+                    col[i] -= c * y
+            k = space.l_index(j + 1)
+            for i, y in enumerate(col):
+                if y:
+                    rows[i][k] = y
+    matrix = RationalMatrix._from_rows(space.dim, [(1, row) for row in rows])
+    return MappingTorusBoundaryMap(r=r, matrix=matrix)
 
 
 def lplus_kernel(bmap: MappingTorusBoundaryMap) -> Subspace:

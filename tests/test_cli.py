@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -529,3 +530,39 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["sigma"] == -1
+
+    @pytest.mark.parametrize(
+        "argv, document, read, unbuffered",
+        [
+            # About 600 KB of output, so print fails once the reader closes.
+            (["compute", "-"], {"boundary_components": 161}, 10, False),
+            # Output that fits the buffer: the failure comes from the flush
+            # after the command returns.
+            (["compute", "-"], THREE_CYCLES_DOC, 0, False),
+            (["examples", "--family", "y1", "--r", "3"], None, 0, True),
+            (["fuzz", "--count", "2"], None, 0, True),
+        ],
+        ids=["compute-large-output", "compute-buffered", "examples", "fuzz"],
+    )
+    def test_reader_closing_early_keeps_exit_code(self, argv, document, read, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "planarsig.cli", *argv],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        if not read:
+            proc.stdout.close()  # gone before the command writes anything
+        proc.stdin.write(json.dumps(document).encode() if document else b"")
+        proc.stdin.close()
+        if read:
+            assert len(proc.stdout.read(read)) == read
+            proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""

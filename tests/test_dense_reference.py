@@ -81,18 +81,66 @@ CASES = cases(((6, 9), (17, 11), (24, 48)))
 LARGE_CASES = cases(((40, 80),))
 
 
+# Grids that steer the pivot search of ``_eliminate`` through each of
+# its cases, with and without a pivot limit of half the columns: the
+# pivot found below ``rank``, so the row at ``rank`` moves down to the
+# pivot's place; that row waiting for a later column, next to a row its
+# move passes, or moving again at the next column; that row already
+# cleared to zero; the row at ``rank`` holding the column itself, so it
+# is the pivot and the rows below are cleared; rows cleared to zero;
+# rows that start or end up with their lowest column past the limit.
+BUCKET_GRIDS = {
+    "moved-row-waits": [
+        [0, 0, 3, 0, 1, 0, 0, 2],
+        [0, 0, 0, 0, 0, 5, 1, 0],
+        [2, 1, 0, 0, 0, 0, 0, 1],
+        [0, 0, 1, 1, 0, 0, 0, 0],
+        [4, 2, 0, 0, 1, 0, 0, 0],
+        [1, 0, 0, 0, 0, 0, 0, 0],
+        [2, 1, 0, 0, 0, 0, 0, 1],
+    ],
+    "moved-row-passes-its-bucket": [
+        [0, 1, 0, 0, 2, 0],
+        [0, 1, 1, 0, 0, 0],
+        [1, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 0, 1],
+        [1, 0, 0, 1, 0, 0],
+    ],
+    "moved-row-moves-again": [
+        [0, 0, 0, 2, 1, 0, 0, 0],
+        [3, 0, 0, 0, 0, 1, 0, 0],
+        [0, 1, 0, 1, 0, 0, 0, 0],
+        [0, 0, 5, 0, 0, 0, 1, 0],
+        [0, 0, 0, 1, 0, 0, 0, 1],
+        [0, 0, 0, 0, 0, 0, 2, 1],
+    ],
+    "moved-row-is-zero": [
+        [1, 1, 0, 0, 0, 0],
+        [1, 1, 0, 0, 0, 0],
+        [0, 0, 1, 2, 0, 0],
+        [0, 0, 0, 1, 1, 0],
+        [0, 0, 0, 0, 3, 2],
+        [0, 0, 0, 0, 0, Fraction(1, 2)],
+    ],
+}
+
+
 def case_id(case):
+    if case in BUCKET_GRIDS:
+        return case
     (n_rows, n_cols), density, rational = case
     return f"{n_rows}x{n_cols}-{density}-{'rational' if rational else 'integer'}"
 
 
 def case_grid(case):
+    if case in BUCKET_GRIDS:
+        return [[Fraction(x) for x in row] for row in BUCKET_GRIDS[case]]
     (n_rows, n_cols), density, rational = case
     rng = random.Random((CASES + LARGE_CASES).index(case))
     return random_grid(rng, n_rows, n_cols, density, rational)
 
 
-@pytest.fixture(params=CASES, ids=case_id)
+@pytest.fixture(params=CASES + list(BUCKET_GRIDS), ids=case_id)
 def grid(request):
     return case_grid(request.param)
 
@@ -411,6 +459,15 @@ def test_public_constructors_refuse_floats(construct):
         construct()
 
 
+def far_apart(z, meridians, x):
+    """The meridian generators of L- with x l_r added to the first.  In
+    row order L- plus that longitude fails only on its first row
+    against m_r, its last: r rows apart."""
+    out = [list(v) for v in meridians]
+    out[0][z.l_index(z.r)] += x
+    return out
+
+
 @pytest.mark.parametrize("r", [1, 2, 5])
 def test_is_isotropic_matches_dense_pairing(r):
     # L+ of a boundary map is isotropic; the kernel of a random matrix
@@ -421,12 +478,18 @@ def test_is_isotropic_matches_dense_pairing(r):
     for _ in range(8):
         classes = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(rng.randint(0, 4))]
         grid = [[Fraction(rng.randint(-2, 2)) for _ in range(z.dim)] for _ in range(r + 1)]
-        bumped = [unit(z.dim, z.m_index(i)) for i in range(r + 1)]
+        meridians = [unit(z.dim, z.m_index(i)) for i in range(r + 1)]
+        longitudes = [unit(z.dim, z.l_index(i)) for i in range(r + 1)]
+        bumped = [list(v) for v in meridians]
         bumped[-1][rng.randrange(z.dim)] += 1
         for vs in (
             mapping_torus_boundary_map(r, classes).matrix.kernel().columns(),
             RationalMatrix(grid).kernel().columns(),
             bumped,
+            meridians,
+            longitudes,
+            meridians + [unit(z.dim, z.l_index(0))],
+            far_apart(z, meridians, 1),
         ):
             expected = all(pair_dense(u, v) == 0 for u in vs for v in vs)
             assert z.is_isotropic(Subspace(z.dim, vs)) == expected
@@ -440,6 +503,7 @@ def test_is_isotropic_matches_dense_pairing_with_large_denominators(r):
     # large denominator; adding 1/q of a basis vector to one column
     # usually breaks that, by a pairing as small as 1/q.
     rng = random.Random(200 + r)
+    coordinate_rng = random.Random(250 + r)
     z = TorusBoundarySpace(r)
     seen = set()
     for _ in range(6):
@@ -450,7 +514,14 @@ def test_is_isotropic_matches_dense_pairing_with_large_denominators(r):
         bumped = [list(c) for c in scaled]
         bump = Fraction(1, rng.randint(2, 10**12))
         bumped[rng.randrange(len(bumped))][rng.randrange(z.dim)] += bump
-        for vs in (scaled, bumped):
+        # Coordinate subspaces with scaled generators, drawn from their
+        # own generator so that the inputs above stay as they were.
+        meridians, longitudes = (
+            [[big_fraction(coordinate_rng) * x for x in unit(z.dim, k)] for k in indices]
+            for indices in (range(0, z.dim, 2), range(1, z.dim, 2))
+        )
+        far = far_apart(z, meridians, big_fraction(coordinate_rng))
+        for vs in (scaled, bumped, meridians, longitudes, meridians + longitudes[:1], far):
             expected = all(pair_dense(u, v) == 0 for u in vs for v in vs)
             assert z.is_isotropic(Subspace(z.dim, vs)) == expected
             seen.add(expected)
