@@ -47,14 +47,15 @@ canonical basis vector, the multiple with a positive pivot entry, which
 is unique, so two subspaces are equal iff their rows are.  Sums,
 intersections, kernels, quotients, membership and the isotropy check of
 the standard triple pass these rows from one elimination to the next;
-the basis matrix is built from them only when a caller reads
-``basis``.  Kernels, intersections and quotients take one elimination
-each.  A kernel is read off the RREF taken with the columns reversed, whose
-free-variable vectors already are the canonical basis.  An intersection
-is the kernel of both operands' equations, which are read off their
-rows (a coordinate subspace gives one-entry equations).  Representatives
-of a quotient N / D are the N basis vectors whose rows the rows of D
-and of the earlier representatives do not reduce to zero.
+no code in the package reads the ``Fraction`` basis matrix, which
+``basis`` builds from the rows on each read.  Kernels, intersections
+and quotients take one elimination each.  A kernel is read off the RREF
+taken with the columns reversed, whose free-variable vectors already
+are the canonical basis.  An intersection is the kernel of both
+operands' equations, which are read off their rows (a coordinate
+subspace gives one-entry equations).  The quotient N / D is represented
+by the span of the N basis vectors whose rows the rows of D and of the
+earlier representatives do not reduce to zero.
 
 The congruence diagonalization of ``symmetric_signature`` scales each
 row and column by its stored scale and then stays in integers.  Most
@@ -498,20 +499,14 @@ class Subspace:
     Row t is the primitive integer multiple, with a positive entry at
     its pivot coordinate ``_pivots[t]``, of the t-th vector of the
     canonical basis.  That form is unique, so equality of subspaces is
-    equality of pivots and rows.  ``basis``, the canonical basis as the
-    columns of a ``RationalMatrix``, is built from the rows on first
-    read and kept; building it twice gives equal values, so the cache
-    needs no lock.  The program reads it once per quotient, so the
-    cache saves no work.  It stays because freeing the basis as soon as
-    ``quotient_basis`` returns made the heap grow while ``compute``
-    encodes its report: the peak RSS of the compute-wide benchmark
-    (r = 32, Python 3.11.7 on a 2-core Xeon host) rose by about 10%
-    with no more live data.  Sums, intersections and membership are all
-    exact and work on the integer rows.  The rows are never mutated
-    once the subspace is built.
+    equality of pivots and rows.  ``basis`` builds the canonical basis
+    as the columns of a ``RationalMatrix`` from the rows on each read.
+    Sums, intersections and membership are all exact and work on the
+    integer rows.  The rows are never mutated once the subspace is
+    built.
     """
 
-    __slots__ = ("ambient_dim", "_pivots", "_rows", "_basis")
+    __slots__ = ("ambient_dim", "_pivots", "_rows")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence] = ()):
         if ambient_dim < 0:
@@ -541,20 +536,13 @@ class Subspace:
     def basis(self) -> RationalMatrix:
         """The canonical basis: reduced column echelon form, with a
         leading 1 at each pivot coordinate."""
-        try:
-            return self._basis
-        except AttributeError:
-            # Basis vector t is row t over its pivot entry.
-            vectors = [(row[p], row) for p, row in zip(self._pivots, self._rows)]
-            self._basis = RationalMatrix._from_rows(self.ambient_dim, vectors).transpose()
-            return self._basis
+        # Basis vector t is row t over its pivot entry.
+        vectors = [(row[p], row) for p, row in zip(self._pivots, self._rows)]
+        return RationalMatrix._from_rows(self.ambient_dim, vectors).transpose()
 
     @property
     def dim(self) -> int:
         return len(self._pivots)
-
-    def columns(self) -> tuple[Vector, ...]:
-        return self.basis.columns()
 
     def __contains__(self, v: Sequence) -> bool:
         w = _exact_entries(v)
@@ -608,8 +596,8 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-def quotient_basis(numerator: Subspace, denominator: Subspace) -> list[Vector]:
-    """Representatives in N spanning the quotient N / D.
+def quotient_basis(numerator: Subspace, denominator: Subspace) -> Subspace:
+    """The subspace of N spanned by representatives of the quotient N / D.
 
     D must be contained in N.  The representatives are the canonical
     basis vectors of N, in order, that enlarge the span of D and the N
@@ -618,20 +606,22 @@ def quotient_basis(numerator: Subspace, denominator: Subspace) -> list[Vector]:
     the list is zero at the pivots of the rows before it.  A row that
     does not reduce to zero joins the list, with one of its nonzero
     columns as pivot.  The list ends with dim(D + N) rows, which equals
-    dim N exactly when D lies in N.
+    dim N exactly when D lies in N.  The picked N rows, each leading at
+    its pivot and zero at the other pivots of N, are the canonical rows
+    of the subspace returned.
     """
     numerator._check_ambient(denominator)
     echelon = list(zip(denominator._pivots, denominator._rows))
-    picked = []
-    for k, row in enumerate(numerator._rows):
+    pivots, rows = [], []
+    for p, row in zip(numerator._pivots, numerator._rows):
         rest = _reduce(dict(row), echelon)
         if rest:
             echelon.append((min(rest), rest))
-            picked.append(k)
+            pivots.append(p)
+            rows.append(row)
     if len(echelon) != numerator.dim:
         raise ValueError("denominator is not a subspace of the numerator")
-    basis = numerator.basis
-    return [basis.column(k) for k in picked]
+    return Subspace._from_rows(numerator.ambient_dim, pivots, rows)
 
 
 @dataclass(frozen=True)

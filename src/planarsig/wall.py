@@ -28,8 +28,6 @@ from .linalg import (
     RationalMatrix,
     SignatureTriple,
     Subspace,
-    Vector,
-    integer_row,
     quotient_basis,
     solve_many,
     symmetric_signature,
@@ -64,13 +62,14 @@ class WallTriple:
 class WallCorrection:
     """Output of the correction computation.
 
-    ``psi`` is the Gram matrix of the induced form on the chosen
-    quotient representatives; ``correction`` its inertia triple and
-    ``defect`` its signature (the term subtracted when gluing).
+    ``representatives`` spans the chosen quotient representatives, its
+    canonical basis; ``psi`` is the Gram matrix of the induced form on
+    them, ``correction`` its inertia triple and ``defect`` its signature
+    (the term subtracted when gluing).
     """
 
     w_dim: int
-    representatives: tuple[Vector, ...]
+    representatives: Subspace
     psi: RationalMatrix
     correction: SignatureTriple
     defect: int
@@ -79,25 +78,26 @@ class WallCorrection:
 def wall_correction(triple: WallTriple) -> WallCorrection:
     """Compute the quotient W, the form Psi on it, and its signature.
 
-    Each representative a is decomposed on the integer rows R_k of L0
-    and L+ taken as columns, -a = sum_k y_k R_k, so its b-part is
-    b = sum_k y_k R_k over L0's rows.  Each representative and b-part
-    is scaled once to an integer vector, a = A / s and b = B / t, so
-    that Psi(a, b) = Q(A, B) / (s t) pairs integers, and Psi is built
-    straight from those integer rows.
+    Representative i is its integer row A_i over its pivot entry s_i.
+    -A_i is decomposed on the integer rows R_k of L0 and L+ taken as
+    columns, -A_i = sum_k y_k R_k, and the L0 terms scaled to integers
+    are B_i / t_i, so the b-part of A_i / s_i is B_i / (s_i t_i) and
+    Psi_ij = Q(A_i, B_j) / (s_i s_j t_j) pairs integers.
     """
     lm, l0, lp = triple.l_minus, triple.l_zero, triple.l_plus
     numerator = lm & (l0 + lp)
     denominator = (lm & l0) + (lm & lp)
     reps = quotient_basis(numerator, denominator)
-    w_dim = len(reps)
     n = triple.space.dim
+    dense = [
+        (row[p], [row.get(j, 0) for j in range(n)]) for p, row in zip(reps._pivots, reps._rows)
+    ]
 
-    # Decompose each representative a' as -(b' + c'), b' in L0, c' in L+.
+    # Decompose each -A_i as b' + c', b' in L0, c' in L+.
     generators = RationalMatrix._from_rows(n, [(1, row) for row in l0._rows + lp._rows])
-    solutions = solve_many(generators.transpose(), [tuple(-x for x in rep) for rep in reps])
+    solutions = solve_many(generators.transpose(), [[-x for x in A] for _, A in dense])
     b_parts: list[tuple[int, list[int]]] = []
-    for sol in solutions:
+    for (s, _), sol in zip(dense, solutions):
         if sol is None:
             raise RuntimeError(
                 "quotient representative failed to decompose inside L0 + L+; "
@@ -111,25 +111,21 @@ def wall_correction(triple: WallTriple) -> WallCorrection:
                 c = y.numerator * (t // y.denominator)
                 for j, x in row.items():
                     B[j] += c * x
-        b_parts.append((t, B))
+        b_parts.append((s * t, B))
 
-    # Row i of Psi over s_i T, T the lcm of the t_j, has the integer
-    # entries Q(A_i, B_j) T / t_j.
+    # Row i of Psi over s_i T, T the lcm of the s_j t_j, has the integer
+    # entries Q(A_i, B_j) T / (s_j t_j).
     pair = triple.space.pair
-    common = lcm(*(t for t, _ in b_parts))
+    common = lcm(*(st for st, _ in b_parts))
     rows = []
-    for a in reps:
-        s, entries = integer_row(a)
-        A = [0] * n
-        for j, x in entries.items():
-            A[j] = x
+    for s, A in dense:
         row = {}
-        for k, (t, B) in enumerate(b_parts):
+        for k, (st, B) in enumerate(b_parts):
             q = pair(A, B).numerator
             if q:
-                row[k] = q * (common // t)
+                row[k] = q * (common // st)
         rows.append((s * common, row))
-    psi = RationalMatrix._from_rows(w_dim, rows)
+    psi = RationalMatrix._from_rows(reps.dim, rows)
     if not psi.is_symmetric():
         raise RuntimeError(
             "induced form came out asymmetric; the triple violates "
@@ -137,8 +133,8 @@ def wall_correction(triple: WallTriple) -> WallCorrection:
         )
     correction = symmetric_signature(psi)
     return WallCorrection(
-        w_dim=w_dim,
-        representatives=tuple(reps),
+        w_dim=reps.dim,
+        representatives=reps,
         psi=psi,
         correction=correction,
         defect=correction.signature,
@@ -200,7 +196,11 @@ def mapping_torus_boundary_map(
 def lplus_kernel(bmap: MappingTorusBoundaryMap) -> Subspace:
     """Kernel of the boundary map; always of dimension r + 1."""
     kernel = bmap.matrix.kernel()
-    assert kernel.dim == bmap.r + 1
+    if kernel.dim != bmap.r + 1:
+        raise RuntimeError(
+            f"boundary map kernel has dimension {kernel.dim}, expected {bmap.r + 1}; "
+            "this cannot happen for a boundary map and indicates a bug"
+        )
     return kernel
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from planarsig.cli import DocumentError, _matrix_strings, load_document, main
 from planarsig.fibration import PlanarFibration
-from planarsig.linalg import RationalMatrix
+from planarsig.linalg import RationalMatrix, Subspace
 from planarsig.properties import CHECK_NAMES, check_fibration
 from planarsig.surfaces import CurveClass, PlanarSurface
 
@@ -133,6 +133,25 @@ class TestCompute:
         assert main(["compute", "-"]) == 0
         out = capsys.readouterr().out
         assert out == (GOLDEN / "three_cycles_report.json").read_text()
+
+    @pytest.mark.parametrize("name", ["three_cycles", "wide_r32_m2", "large_r16_m80"])
+    def test_wall_route_reads_no_fraction_entries(self, capsys, feed_stdin, monkeypatch, name):
+        # From the boundary map to the inertia, the Wall route and the
+        # report work on integer rows: no canonical basis matrix is built
+        # and no matrix entry is read as a Fraction.
+        def refuse(*args):
+            raise AssertionError("compute read Fraction entries")
+
+        monkeypatch.setattr(Subspace, "basis", property(refuse))
+        for method in ("__getitem__", "row", "column", "columns"):
+            monkeypatch.setattr(RationalMatrix, method, refuse)
+        if name == "three_cycles":
+            feed_stdin(THREE_CYCLES_DOC)
+        else:
+            feed_stdin((GOLDEN / f"{name}.json").read_text())
+        assert main(["compute", "-"]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / f"{name}_report.json").read_text()
 
     @pytest.mark.parametrize("name", ["wide_r32_m2", "large_r16_m80"])
     def test_matches_golden_file_at_benchmark_sizes(self, capsys, feed_stdin, name):

@@ -214,9 +214,9 @@ def test_large_denominators_match_dense(shape, density):
         for limit in (None, n_cols // 2):
             check_eliminate(grid, reduced, limit)
     M = RationalMatrix(grid)
-    assert Subspace(n_cols, grid).columns() == tuple(rref_dense(grid))
+    assert Subspace(n_cols, grid).basis.columns() == tuple(rref_dense(grid))
     assert M.rank() == len(rref_dense(grid))
-    assert M.kernel().columns() == tuple(kernel_dense(grid, n_cols))
+    assert M.kernel().basis.columns() == tuple(kernel_dense(grid, n_cols))
     consistent = times(grid, [big_fraction(rng) for _ in range(n_cols)])
     rhs = [consistent, [big_fraction(rng) for _ in range(n_rows)]]
     assert solve_many(M, rhs) == solve_dense(grid, n_cols, rhs)
@@ -234,7 +234,7 @@ def test_large_denominators_match_dense(shape, density):
 def test_canonical_basis_and_rank_match_dense(case):
     grid = case_grid(case)
     basis = rref_dense(grid)
-    assert Subspace(len(grid[0]), grid).columns() == tuple(basis)
+    assert Subspace(len(grid[0]), grid).basis.columns() == tuple(basis)
     assert RationalMatrix(grid).rank() == len(basis)
 
 
@@ -242,14 +242,14 @@ def test_canonical_basis_and_rank_match_dense(case):
 def test_kernel_matches_dense_at_large_sizes(case):
     grid = case_grid(case)
     n_cols = len(grid[0])
-    assert RationalMatrix(grid).kernel().columns() == tuple(kernel_dense(grid, n_cols))
+    assert RationalMatrix(grid).kernel().basis.columns() == tuple(kernel_dense(grid, n_cols))
 
 
 def check_meet_and_sum(U, V, u_gens, v_gens):
     n = U.ambient_dim
-    assert (U & V).columns() == tuple(meet_dense(u_gens, v_gens, n))
+    assert (U & V).basis.columns() == tuple(meet_dense(u_gens, v_gens, n))
     assert (V & U) == (U & V)
-    assert (U + V).columns() == tuple(rref_dense(list(u_gens) + list(v_gens)))
+    assert (U + V).basis.columns() == tuple(rref_dense(list(u_gens) + list(v_gens)))
 
 
 def check_quotient(numerator, denominator):
@@ -265,9 +265,12 @@ def check_quotient(numerator, denominator):
         with pytest.raises(ValueError):
             quotient_basis(numerator, denominator)
         return
-    basis = numerator.columns()
+    basis = numerator.basis.columns()
     expected = [basis[p - denominator.dim] for p in pivots if p >= denominator.dim]
-    assert quotient_basis(numerator, denominator) == expected
+    quotient = quotient_basis(numerator, denominator)
+    assert isinstance(quotient, Subspace)
+    assert quotient.ambient_dim == numerator.ambient_dim
+    assert list(quotient.basis.columns()) == expected
 
 
 def unit(n, i):
@@ -316,7 +319,7 @@ def test_meet_and_sum_with_zero_and_full_spaces_match_dense(n):
 def test_kernel_and_solve_match_dense(grid):
     M = RationalMatrix(grid)
     n_cols = M.n_cols
-    assert M.kernel().columns() == tuple(kernel_dense(grid, n_cols))
+    assert M.kernel().basis.columns() == tuple(kernel_dense(grid, n_cols))
 
     rng = random.Random(len(grid) * n_cols)
     consistent = times(grid, [rng.randint(-3, 3) for _ in range(n_cols)])
@@ -333,7 +336,7 @@ def test_apply_contains_and_quotient_match_dense(grid):
     assert rows_of(image) == [[sum((a * b for a, b in zip(row, x)), Fraction(0))] for row in grid]
 
     span = Subspace(M.n_cols, grid)
-    basis = list(span.columns())
+    basis = list(span.basis.columns())
     for v in (grid[0], x, [a + b for a, b in zip(grid[0], grid[-1])]):
         assert (v in span) == (len(rref_dense(basis + [v])) == span.dim)
 
@@ -483,8 +486,8 @@ def test_is_isotropic_matches_dense_pairing(r):
         bumped = [list(v) for v in meridians]
         bumped[-1][rng.randrange(z.dim)] += 1
         for vs in (
-            mapping_torus_boundary_map(r, classes).matrix.kernel().columns(),
-            RationalMatrix(grid).kernel().columns(),
+            mapping_torus_boundary_map(r, classes).matrix.kernel().basis.columns(),
+            RationalMatrix(grid).kernel().basis.columns(),
             bumped,
             meridians,
             longitudes,
@@ -508,7 +511,7 @@ def test_is_isotropic_matches_dense_pairing_with_large_denominators(r):
     seen = set()
     for _ in range(6):
         classes = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(rng.randint(0, 4))]
-        lplus = mapping_torus_boundary_map(r, classes).matrix.kernel().columns()
+        lplus = mapping_torus_boundary_map(r, classes).matrix.kernel().basis.columns()
         scales = [big_fraction(rng) for _ in lplus]
         scaled = [tuple(s * x for x in c) for s, c in zip(scales, lplus)]
         bumped = [list(c) for c in scaled]
@@ -590,5 +593,6 @@ def test_wall_correction_matches_dense_psi_off_coordinate_subspaces(r):
             v = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(z.dim)]
             t = transvection(v)
             moved = [[t(x) for x in gens] for gens in moved]
-        assert any(sum(1 for x in col if x) > 1 for col in Subspace(z.dim, moved[1]).columns())
+        columns = Subspace(z.dim, moved[1]).basis.columns()
+        assert any(sum(1 for x in col if x) > 1 for col in columns)
         assert check_psi(z, moved).correction == standard.correction

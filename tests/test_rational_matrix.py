@@ -138,7 +138,7 @@ def test_operations_match_dense_oracles(case, data):
     assert M.is_symmetric() == (n_rows == n_cols and grid == transposed(grid, n_cols))
 
     assert M.rank() == rank_by_minors(grid)
-    assert M.kernel().columns() == tuple(kernel_dense(grid, n_cols))
+    assert M.kernel().basis.columns() == tuple(kernel_dense(grid, n_cols))
 
     x = [row[0] for row in data.draw(grids(n_rows=n_cols, n_cols=1))]
     consistent = [row[0] for row in matmul_dense(grid, [[y] for y in x], 1)]

@@ -145,7 +145,7 @@ class TestBoundaryMap:
 
 
 class TestLplus:
-    def test_kernel_dimension(self):
+    def test_kernel_dimension(self, monkeypatch):
         rng = random.Random(107)
         for _ in range(20):
             r = rng.randint(0, 5)
@@ -153,6 +153,11 @@ class TestLplus:
             cs = curves(*(random_proper_subset(rng, r) for _ in range(m)))
             bmap = mapping_torus_boundary_map(r, class_vectors(r, cs))
             assert lplus_kernel(bmap).dim == r + 1
+        # A kernel of the wrong dimension is refused, also under python -O.
+        bmap = mapping_torus_boundary_map(2, [])
+        monkeypatch.setattr(RationalMatrix, "kernel", lambda self: Subspace(self.n_cols))
+        with pytest.raises(RuntimeError, match="indicates a bug"):
+            lplus_kernel(bmap)
 
     def test_meridian_sum_always_in_kernel(self):
         rng = random.Random(109)
