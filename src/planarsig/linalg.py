@@ -31,6 +31,22 @@ columns it holds.  A rank is its pivot count; a solution of
 ``solve_many`` is read off its pivot rows, each over its lead, and only
 the returned entries become Fractions.
 
+A row or column with a single entry has Markowitz cost zero: it can
+be pivoted without fill-in or arithmetic.  So a singleton rule, chosen
+only by the structure of the rows, stands in front of the reduced
+eliminations.
+In ``_rref``, behind spans, sums, kernels and intersections, a one-entry
+row {j: x} is the RREF row e_j and is pivoted by inspection; column j is
+deleted from the other rows, which alone are eliminated.  In
+``solve_many``, a row whose lowest column no other row holds is that
+column's pivot row and clears no other row, so the other rows are
+eliminated alone and its entry of each solution is read off by value.
+The RREF of a span and the solution with free variables zero are
+unique, so neither rule changes a canonical row or a solution.  L- and
+L0 of the standard triple are coordinate subspaces: their rows, their
+equations in the meets, L0's rows in L0 + L+ and the longitude rows of
+the [L0 | L+] system of ``wall_correction`` all take the rule.
+
 A ``RationalMatrix`` is held as integer rows too: row i is
 ``(s, {column: s * x})`` over its nonzero entries x, with s >= 1 the lcm
 of their denominators, which is what ``integer_row`` returns.  Given
@@ -68,9 +84,10 @@ wherever the entries go straight into integer rows.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -389,11 +406,46 @@ def _reduce(rest: dict[int, int],
     return rest
 
 
-def _span_rows(work: list[dict[int, int]], n: int) -> tuple[list[int], list[dict[int, int]]]:
-    """Pivots and canonical rows of the span of primitive integer rows,
-    which are eliminated in place."""
+def _rref(work: list[dict[int, int]], n: int) -> tuple[list[int], list[dict[int, int]]]:
+    """Pivots, in increasing order, and pivot rows of the reduced row
+    echelon form of the integer rows ``work``; each row over its entry
+    at its pivot is the RREF row.  The rows are consumed.
+
+    A one-entry row {j: x} is pivoted by inspection (the singleton
+    rule): the RREF is unique and holds e_j whenever the span does, so
+    j is a pivot with the row {j: 1}.  Deleting column j from the other
+    rows subtracts multiples of e_j and keeps the span; their content is
+    divided out again, only the rows left nonzero are eliminated, and
+    their pivot rows, zero at every such j, are merged with the e_j by
+    pivot.
+    """
+    units = {next(iter(row)) for row in work if len(row) == 1}
+    if units:
+        rest = []
+        for row in work:
+            if len(row) > 1:
+                hit = units.intersection(row)
+                if hit:
+                    for j in hit:
+                        del row[j]
+                    if not row:
+                        continue
+                    _divide_content(row)
+                rest.append(row)
+        work = rest
     pivots = _eliminate(work, n, reduced=True)
     rows = work[: len(pivots)]
+    if units:
+        merged = sorted([*zip(pivots, rows), *((j, {j: 1}) for j in units)])
+        pivots = [p for p, _ in merged]
+        rows = [row for _, row in merged]
+    return pivots, rows
+
+
+def _span_rows(work: list[dict[int, int]], n: int) -> tuple[list[int], list[dict[int, int]]]:
+    """Pivots and canonical rows of the span of primitive integer rows,
+    which are consumed (``_rref``, singleton rule included)."""
+    pivots, rows = _rref(work, n)
     for p, row in zip(pivots, rows):
         if row[p] < 0:
             for j in row:
@@ -442,12 +494,16 @@ def _null_space(rows: Sequence[dict[int, int]], n_cols: int) -> "Subspace":
     pivots right of f, so its leading entry is at f, and it is zero at
     every other free column.  Taken in increasing f, these vectors
     already are the canonical basis (``_solved_rows``); no second
-    elimination is needed.
+    elimination is needed.  A one-entry row {j: x}, the equation
+    x_j = 0, is the RREF row e_j in either column order, so ``_rref``
+    pivots it by inspection; e_j adds no term to any free-variable
+    vector.
     """
     last = n_cols - 1
     work = [{last - j: x for j, x in row.items()} for row in rows]
-    pivots = [last - c for c in _eliminate(work, n_cols, reduced=True)]
-    echelon = [{last - c: x for c, x in w.items()} for w in work[: len(pivots)]]
+    reversed_pivots, reduced = _rref(work, n_cols)
+    pivots = [last - c for c in reversed_pivots]
+    echelon = [{last - c: x for c, x in w.items()} for w in reduced]
     return Subspace._from_rows(n_cols, *_solved_rows(n_cols, pivots, echelon))
 
 
@@ -460,13 +516,27 @@ def solve_many(M: RationalMatrix, rhs: Sequence[Sequence]) -> list[Vector | None
     columns of M.  A system is inconsistent when its column is nonzero
     in a row left without a pivot; otherwise x at pivot p is the
     column's entry in p's row over that row's lead.
+
+    A row whose lowest column c no other row holds is pivoted by
+    inspection (the singleton rule).  No other row ever comes to hold
+    c, so under the leftmost-pivot rule this row is c's pivot row and
+    never clears another row; back substitution only clears it at the
+    later pivots it holds.  The other rows are therefore eliminated
+    alone and decide consistency, and x_c is read off this row by value:
+    x_c = (b - sum_p a_p x_p) / a_c over the pivots p of the other rows,
+    with every x_p put over the lcm of their leads, so that the sum
+    stays in integers and one Fraction is made at the end.  Such a row
+    holds no other row's singleton column, and x is zero at the free
+    columns, so the solution is the one that eliminating all rows
+    together gives.
     """
     targets = [vector(b) for b in rhs]
     for b in targets:
         if len(b) != M.n_rows:
             raise ValueError(f"right-hand side of length {len(b)} against {M.shape} matrix")
     n = M.n_cols
-    work = []
+    held = Counter(chain.from_iterable(row for _, row in M._rows))
+    work, singles = [], []
     for i, (scale, row) in enumerate(M._rows):
         t, tail = integer_row([b[i] for b in targets])
         common = lcm(scale, t)
@@ -476,19 +546,37 @@ def solve_many(M: RationalMatrix, rhs: Sequence[Sequence]) -> list[Vector | None
         for k, y in tail.items():
             w[n + k] = y * f
         _divide_content(w)
-        work.append(w)
+        if row and held[c := min(row)] == 1:
+            singles.append((c, w))
+        else:
+            work.append(w)
     pivots = _eliminate(work, n, reduced=True)
     rank = len(pivots)
+    # Per singleton row: its column c, the row, and (p, a_p) for each
+    # pivot p it holds.
+    is_pivot = set(pivots)
+    substitutions = [(c, w, [(p, w[p]) for p in w if p in is_pivot]) for c, w in singles]
     out: list[Vector | None] = []
     for col in range(n, n + len(targets)):
         if any(col in row for row in work[rank:]):
             out.append(None)
             continue
         x = [_ZERO] * n
-        for p, row in zip(pivots, work):
-            f = row.get(col)
-            if f is not None:
-                x[p] = Fraction(f, row[p])
+        solved = [(p, f, row[p]) for p, row in zip(pivots, work) if (f := row.get(col)) is not None]
+        for p, f, lead in solved:
+            x[p] = Fraction(f, lead)
+        if substitutions:
+            # x_p = num[p] / denominator, zero where num has no p.
+            denominator = lcm(*(lead for _, _, lead in solved))
+            num = {p: f * (denominator // lead) for p, f, lead in solved}
+            for c, w, held_pivots in substitutions:
+                total = w.get(col, 0) * denominator
+                for p, a in held_pivots:
+                    y = num.get(p)
+                    if y is not None:
+                        total -= a * y
+                if total:
+                    x[c] = Fraction(total, w[c] * denominator)
         out.append(tuple(x))
     return out
 

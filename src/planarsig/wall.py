@@ -126,12 +126,15 @@ def wall_correction(triple: WallTriple) -> WallCorrection:
                 row[k] = q * (common // st)
         rows.append((s * common, row))
     psi = RationalMatrix._from_rows(reps.dim, rows)
-    if not psi.is_symmetric():
+    # Psi is square, so the only ValueError symmetric_signature raises
+    # is its own check that Psi is exactly symmetric.
+    try:
+        correction = symmetric_signature(psi)
+    except ValueError:
         raise RuntimeError(
             "induced form came out asymmetric; the triple violates "
             "the well-definedness hypotheses"
-        )
-    correction = symmetric_signature(psi)
+        ) from None
     return WallCorrection(
         w_dim=reps.dim,
         representatives=reps,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -162,6 +163,17 @@ class TestCompute:
         assert main(["compute", "-"]) == 0
         out = capsys.readouterr().out
         assert out == (GOLDEN / f"{name}_report.json").read_text()
+
+    def test_report_digest_at_scale(self, capsys, feed_stdin):
+        # fibration_document(Random(7), 40, 200) of benchmarks/workloads.py:
+        # r = 40 reaches integers far larger than the benchmark sizes do.
+        # Only the digest of the report is pinned, to keep the file small.
+        feed_stdin((GOLDEN / "scale_r40_m200.json").read_text())
+        assert main(["compute", "-"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8567da904937d2bb5646a5b5c3ef77e218a0069b58fe9e22b6984bedf532fe48"
+        )
 
     def test_explicit_class_vectors(self, capsys, feed_stdin):
         doc = {

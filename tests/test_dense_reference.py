@@ -343,6 +343,121 @@ def test_apply_contains_and_quotient_match_dense(grid):
     check_quotient(span, Subspace(M.n_cols, grid[: len(grid) // 2]))
 
 
+def nonzero(rng, rational):
+    """A nonzero entry: small, or as large as ``big_fraction`` makes it."""
+    if rational and rng.random() < 0.3:
+        return big_fraction(rng)
+    num = rng.choice((-3, -2, -1, 1, 2, 3))
+    return Fraction(num, rng.randint(1, 4)) if rational else Fraction(num)
+
+
+def unit_mix(rng, n, rational):
+    """Seeded generators of Q^n: scaled unit vectors at a few coordinates,
+    one of them twice, among rows that deleting those coordinates leaves
+    with one entry, with none, or with several."""
+    units = rng.sample(range(n), rng.randint(1, max(1, n // 2)))
+    others = [j for j in range(n) if j not in units]
+
+    def row_on(columns):
+        v = [Fraction(0)] * n
+        for j in columns:
+            v[j] = nonzero(rng, rational)
+        return v
+
+    def some(columns):
+        return rng.sample(columns, rng.randint(0, len(columns)))
+
+    gens = [row_on([j]) for j in units]
+    gens.append(row_on([units[0]]))  # a repeated unit row
+    gens.append(row_on(some(units) + others[:1]))  # one entry left
+    gens.append(row_on(some(units) + others[-1:]))
+    gens.append(row_on(units[:2]))  # nothing left
+    for _ in range(rng.randint(0, n)):
+        gens.append(row_on(rng.sample(range(n), rng.randint(2, n)) if n > 1 else [0]))
+    rng.shuffle(gens)
+    return gens
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_unit_rows_in_spans_kernels_meets_and_sums_match_dense(seed):
+    # One-entry rows are their own canonical rows; every routine that
+    # eliminates rows must treat them as the dense references do.
+    rng = random.Random(500 + seed)
+    n = rng.randint(1, 14)
+    rational = seed % 2 == 1
+    gens = unit_mix(rng, n, rational)
+    U = Subspace(n, gens)
+    assert U.basis.columns() == tuple(rref_dense(gens))
+    assert RationalMatrix(gens).rank() == U.dim
+    assert RationalMatrix(gens).kernel().basis.columns() == tuple(kernel_dense(gens, n))
+    # Meets and sums with a coordinate subspace, whose equations have one
+    # entry each, and with a second mix.
+    c_gens = [unit(n, j) for j in rng.sample(range(n), rng.randint(1, n))]
+    C = Subspace(n, c_gens)
+    v_gens = unit_mix(rng, n, rational)
+    V = Subspace(n, v_gens)
+    pairs = [((U, gens), (C, c_gens)), ((C, c_gens), (U, gens)), ((U, gens), (V, v_gens))]
+    for (a, a_gens), (b, b_gens) in pairs:
+        check_meet_and_sum(a, b, a_gens, b_gens)
+    check_quotient(U + C, C)
+    check_quotient(U + V, U & V)
+    # Equal spans have equal rows, however they were generated: rows the
+    # rule shortened end primitive, as the canonical form requires.
+    for S, S_gens in ((U, gens), (U + C, gens + c_gens), (U + V, gens + v_gens)):
+        assert S == Subspace(n, rref_dense(S_gens))
+        assert hash(S) == hash(Subspace(n, rref_dense(S_gens)))
+
+
+def singleton_system(rng, rational):
+    """Seeded rows with singleton columns: rows whose lowest column no
+    other row holds, each also holding the last column, which only such
+    rows hold, so it is free.  The other rows include a zero row and a
+    sum of two of them, so some right-hand sides are inconsistent."""
+    n = rng.randint(3, 12)
+    singles = sorted(rng.sample(range(n - 1), rng.randint(1, (n - 1) // 2 + 1)))
+    shared = [j for j in range(n - 1) if j not in singles]
+    rows = []
+    for s in singles:
+        v = [Fraction(0)] * n
+        v[s] = nonzero(rng, rational)
+        for j in shared:
+            if j > s and rng.random() < 0.5:
+                v[j] = nonzero(rng, rational)
+        if rng.random() < 0.7:
+            v[n - 1] = nonzero(rng, rational)
+        rows.append(v)
+    others = []
+    for _ in range(rng.randint(1, len(shared) + 1)):
+        v = [Fraction(0)] * n
+        for j in shared:
+            if rng.random() < 0.6:
+                v[j] = nonzero(rng, rational)
+        others.append(v)
+    others.append([x + y for x, y in zip(others[0], others[-1])])
+    others.append([Fraction(0)] * n)
+    rows += others
+    rng.shuffle(rows)
+    return rows, n
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_solve_with_singleton_columns_matches_dense(seed):
+    rng = random.Random(600 + seed)
+    rows, n = singleton_system(rng, seed % 2 == 1)
+    M = RationalMatrix(rows)
+    consistent = times(rows, [nonzero(rng, True) if rng.random() < 0.7 else 0 for _ in range(n)])
+    # Nonzero on the zero row, so never consistent.
+    arbitrary = [nonzero(rng, True) for _ in rows]
+    # Consistent or not, as the row that moves depends on the others.
+    bumped = list(consistent)
+    bumped[rng.randrange(len(rows))] += 1
+    rhs = [consistent, arbitrary, bumped, [0] * len(rows)]
+    got = solve_many(M, rhs)
+    assert got == solve_dense(rows, n, rhs)
+    assert got[0] is not None and got[1] is None and got[3] == (0,) * n
+    assert solve_many(M, []) == [] == solve_dense(rows, n, [])
+
+
 @pytest.mark.parametrize("density", DENSITIES)
 @pytest.mark.parametrize("rational", (False, True))
 def test_symmetric_signature_matches_dense(density, rational):

@@ -110,6 +110,19 @@ class TestWallCorrection:
             psi = wall_correction(triple_of(r, cs)).psi
             assert psi == psi.transpose()
 
+    def test_asymmetric_psi_is_refused(self, monkeypatch):
+        # A pairing that is not skew (m_0 . l_0 counted twice, l_0 . m_0
+        # once) makes Psi asymmetric; wall_correction must refuse it
+        # rather than pass it on to the inertia.
+        skew = TorusBoundarySpace.pair
+
+        def lopsided(self, u, v):
+            return skew(self, u, v) + u[0] * v[1]
+
+        monkeypatch.setattr(TorusBoundarySpace, "pair", lopsided)
+        with pytest.raises(RuntimeError, match="induced form came out asymmetric"):
+            wall_correction(triple_of(2, curves({1}, {2}, {1, 2})))
+
     def test_positive_definite_of_span_rank(self):
         rng = random.Random(103)
         for _ in range(30):
