@@ -5,81 +5,28 @@ entries, subspaces of Q^n in a canonical form, linear solving, and
 signatures of symmetric bilinear forms by exact congruence
 diagonalization.  There are no floats and no tolerances anywhere.
 
-The canonical basis of a subspace is its reduced column echelon form:
-every basis column has a leading 1 (its pivot coordinate), pivot
-coordinates strictly increase from one column to the next, and a pivot
-coordinate is zero in every other basis column.  This is the unique
-such basis of a given span (it is the reduced row echelon form of the
-transposed generator matrix).
+The canonical basis of a subspace: every basis vector has a leading 1
+(its pivot coordinate), pivot coordinates strictly increase from one
+vector to the next, and a pivot coordinate is zero in every other basis
+vector.  This is the unique such basis of a given span (the rows of the
+reduced row echelon form of the generators stacked as rows).
 
 Elimination runs on integers.  An integer row is a map from column to
 nonzero int; ``integer_row`` turns a row of ints and Fractions into one
 by multiplying with the lcm of its denominators, and it is primitive
-once the gcd of its entries is divided out.  A pivot row with entry
-``lead`` in column c clears the entry f of another row by
-row := (lead/g) row - (f/g) pivot with g = gcd(lead, f), and the row's
-content is divided out again (``_clear``).  Clearing a column commutes
-with scaling rows by nonzero numbers, so every integer row stays a
-nonzero multiple of the row that ``Fraction`` elimination would hold at
-the same step.  ``_eliminate`` is that loop, and the tests hold it to a
-dense ``Fraction`` reference.  Its work follows the nonzero entries, not
-rows times columns: rows below the pivots wait in buckets keyed by
-their lowest column, so the pivot search for a column reads only the
-rows that start there, and a reduced form is finished by back
-substitution, which clears each pivot row only at the later pivot
-columns it holds.  A rank is its pivot count; a solution of
-``solve_many`` is read off its pivot rows, each over its lead, and only
-the returned entries become Fractions.
+once the gcd of its entries is divided out.  Matrices and subspaces
+are held as such rows, and every operation works on them, so integers
+pass from one elimination to the next (see ``_clear``, ``_eliminate``,
+``_rref`` and ``solve_many``).
 
-A row or column with a single entry has Markowitz cost zero: it can
-be pivoted without fill-in or arithmetic.  So a singleton rule, chosen
-only by the structure of the rows, stands in front of the reduced
-eliminations.
-In ``_rref``, behind spans, sums, kernels and intersections, a one-entry
-row {j: x} is the RREF row e_j and is pivoted by inspection; column j is
-deleted from the other rows, which alone are eliminated.  In
-``solve_many``, a row whose lowest column no other row holds is that
-column's pivot row and clears no other row, so the other rows are
-eliminated alone and its entry of each solution is read off by value.
-The RREF of a span and the solution with free variables zero are
-unique, so neither rule changes a canonical row or a solution.  L- and
-L0 of the standard triple are coordinate subspaces: their rows, their
-equations in the meets, L0's rows in L0 + L+ and the longitude rows of
-the [L0 | L+] system of ``wall_correction`` all take the rule.
-
-A ``RationalMatrix`` is held as integer rows too: row i is
-``(s, {column: s * x})`` over its nonzero entries x, with s >= 1 the lcm
-of their denominators, which is what ``integer_row`` returns.  Given
-the values, that form is unique, so equality and hashing compare it.
-A matrix of ints is stored without making a Fraction, and ``transpose``,
-``@``, ``is_symmetric`` and the eliminations of ``rank``, ``kernel``,
-``solve_many`` and ``symmetric_signature`` work on the stored rows:
-they multiply integers and take lcms of scales.  Fractions are built
-only when a caller reads entries, through ``M[i, j]``, ``row`` or
-``column``.
-
-A ``Subspace`` is held as integer rows: one primitive integer row per
-canonical basis vector, the multiple with a positive pivot entry, which
-is unique, so two subspaces are equal iff their rows are.  Sums,
-intersections, kernels, quotients, membership and the isotropy check of
-the standard triple pass these rows from one elimination to the next;
-no code in the package reads the ``Fraction`` basis matrix, which
-``basis`` builds from the rows on each read.  Kernels, intersections
-and quotients take one elimination each.  A kernel is read off the RREF
-taken with the columns reversed, whose free-variable vectors already
-are the canonical basis.  An intersection is the kernel of both
-operands' equations, which are read off their rows (a coordinate
-subspace gives one-entry equations).  The quotient N / D is represented
-by the span of the N basis vectors whose rows the rows of D and of the
-earlier representatives do not reduce to zero.
-
-The congruence diagonalization of ``symmetric_signature`` scales each
-row and column by its stored scale and then stays in integers.  Most
-entries the signature computations meet are zero, because two of the
-three subspaces of the standard triple are coordinate subspaces, so
-sparse rows touch little.  Entries are coerced once, at the public
-entry points: a Fraction passes through unchanged, and so does an int
-wherever the entries go straight into integer rows.
+Entries cross the edge by one rule each way.  ``vector`` coerces what
+comes in: ``RationalMatrix(...)``, ``Subspace(...)``, ``in`` and
+``solve_many`` take their entries through it, so ints and Fractions go
+on as they are, floats are refused, and anything else (a rational
+string, a Decimal, a bool) becomes a Fraction.  What goes out is
+Fractions, built from the integer rows on each read: ``M[i, j]``,
+``Subspace.basis``, the solutions of ``solve_many``, and
+``TorusBoundarySpace.pair`` in ``surfaces``.
 """
 
 from __future__ import annotations
@@ -94,39 +41,33 @@ from typing import Iterable, Sequence
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-
-
-def _frac(x) -> Fraction:
-    if type(x) is Fraction:
-        return x  # immutable, so sharing it is safe
-    if isinstance(x, float):
-        raise TypeError(f"refusing float {x!r}: pass int, Fraction or a rational string")
-    return Fraction(x)
-
-
-def _exact_entries(v: Iterable) -> list:
-    """The entries of ``v`` as ints and Fractions: ints pass as they are,
-    and everything else goes through the coercion of ``vector``."""
-    return [x if type(x) is int else _frac(x) for x in v]
+_EXACT = {int, Fraction}
 
 
 def refuse_floats(*vectors: Sequence) -> None:
-    """Raise the TypeError of ``vector`` if any entry is a float.
+    """Raise TypeError, naming the first float entry, if there is one.
 
-    Checks entry types without coercing anything, for hot paths whose
-    callers already hold exact entries.
+    Checks entry types without coercing or copying anything, for hot
+    paths whose callers already hold exact entries; ``vector`` raises
+    through it too.
     """
     kinds: set[type] = set()
     for w in vectors:
         kinds.update(map(type, w))
     if any(issubclass(k, float) for k in kinds):
-        # _frac raises on the first float, with vector's message.
-        _frac(next(x for w in vectors for x in w if isinstance(x, float)))
+        x = next(x for w in vectors for x in w if isinstance(x, float))
+        raise TypeError(f"refusing float {x!r}: pass int, Fraction or a rational string")
 
 
-def vector(entries: Iterable) -> Vector:
-    """Coerce an iterable of exact numbers to a tuple of Fractions."""
-    return tuple(_frac(x) for x in entries)
+def vector(entries: Iterable) -> tuple:
+    """Coerce an iterable of exact numbers, the one entry coercion of
+    the package: ints and Fractions come back as they are, floats are
+    refused, and any other value becomes a Fraction."""
+    v = tuple(entries)
+    if not set(map(type, v)) <= _EXACT:
+        refuse_floats(v)
+        v = tuple(x if type(x) in _EXACT else Fraction(x) for x in v)
+    return v
 
 
 def integer_row(row: Sequence) -> tuple[int, dict[int, int]]:
@@ -252,14 +193,14 @@ class RationalMatrix:
     nonzero x only: s >= 1 is the lcm of the denominators of the row's
     entries, so s and the stored entries have no common factor.  That
     form is unique for given values, so ``==`` and ``hash`` compare it
-    directly.  Reading entries (``M[i, j]``, ``row``, ``column``) builds
-    Fractions; every other operation works on the integer rows.
+    directly.  ``M[i, j]`` builds a Fraction on each read; every other
+    operation works on the integer rows.
     """
 
     __slots__ = ("n_rows", "n_cols", "_rows")
 
     def __init__(self, rows: Iterable[Iterable], n_cols: int | None = None):
-        data = [_exact_entries(row) for row in rows]
+        data = [vector(row) for row in rows]
         if data:
             widths = {len(row) for row in data}
             if len(widths) != 1:
@@ -299,19 +240,20 @@ class RationalMatrix:
         x = row.get(range(self.n_cols)[j])
         return _ZERO if x is None else Fraction(x, scale)
 
-    def row(self, i: int) -> Vector:
-        scale, row = self._rows[i]
-        out = [_ZERO] * self.n_cols
-        for j, x in row.items():
-            out[j] = Fraction(x, scale)
-        return tuple(out)
+    def entry_strings(self) -> list[list[str]]:
+        """The entries as ``str(Fraction)`` prints them, formatted from the
+        stored rows: entry x of a row over scale s is x/s in lowest terms.
 
-    def column(self, j: int) -> Vector:
-        j = range(self.n_cols)[j]
-        return tuple(Fraction(row[j], scale) if j in row else _ZERO for scale, row in self._rows)
-
-    def columns(self) -> tuple[Vector, ...]:
-        return tuple(self.column(j) for j in range(self.n_cols))
+        Raises ValueError past Python's limit on int -> str digits.
+        """
+        out = []
+        for scale, entries in self._rows:
+            row = ["0"] * self.n_cols
+            for j, x in entries.items():
+                g = gcd(x, scale)
+                row[j] = str(x // g) if g == scale else f"{x // g}/{scale // g}"
+            out.append(row)
+        return out
 
     def transpose(self) -> "RationalMatrix":
         """Rows become columns; each new row is put over the lcm of the
@@ -374,7 +316,7 @@ class RationalMatrix:
         return hash((self.n_cols, rows))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.n_rows))
+        body = "; ".join(" ".join(row) for row in self.entry_strings())
         return f"RationalMatrix({self.n_rows}x{self.n_cols}: {body})"
 
 
@@ -588,10 +530,9 @@ class Subspace:
     its pivot coordinate ``_pivots[t]``, of the t-th vector of the
     canonical basis.  That form is unique, so equality of subspaces is
     equality of pivots and rows.  ``basis`` builds the canonical basis
-    as the columns of a ``RationalMatrix`` from the rows on each read.
-    Sums, intersections and membership are all exact and work on the
-    integer rows.  The rows are never mutated once the subspace is
-    built.
+    vectors from the rows on each read.  Sums, intersections and
+    membership are all exact and work on the integer rows.  The rows
+    are never mutated once the subspace is built.
     """
 
     __slots__ = ("ambient_dim", "_pivots", "_rows")
@@ -601,7 +542,7 @@ class Subspace:
             raise ValueError("ambient dimension must be nonnegative")
         work = []
         for v in vectors:
-            w = _exact_entries(v)
+            w = vector(v)
             if len(w) != ambient_dim:
                 raise ValueError(f"generator of length {len(w)} in Q^{ambient_dim}")
             work.append(_primitive(w))
@@ -621,19 +562,20 @@ class Subspace:
         return self
 
     @property
-    def basis(self) -> RationalMatrix:
-        """The canonical basis: reduced column echelon form, with a
-        leading 1 at each pivot coordinate."""
-        # Basis vector t is row t over its pivot entry.
-        vectors = [(row[p], row) for p, row in zip(self._pivots, self._rows)]
-        return RationalMatrix._from_rows(self.ambient_dim, vectors).transpose()
+    def basis(self) -> tuple[Vector, ...]:
+        """The canonical basis vectors, each with a leading 1 at its pivot
+        coordinate: row t over its pivot entry."""
+        return tuple(
+            tuple(Fraction(row[j], row[p]) if j in row else _ZERO for j in range(self.ambient_dim))
+            for p, row in zip(self._pivots, self._rows)
+        )
 
     @property
     def dim(self) -> int:
         return len(self._pivots)
 
     def __contains__(self, v: Sequence) -> bool:
-        w = _exact_entries(v)
+        w = vector(v)
         if len(w) != self.ambient_dim:
             raise ValueError(f"vector of length {len(w)} in Q^{self.ambient_dim}")
         # Each row is zero at the other pivots, so clearing the pivots
@@ -654,7 +596,7 @@ class Subspace:
     def _equations(self) -> list[dict[int, int]]:
         """Integer rows whose common null space is this subspace.
 
-        With canonical basis columns b_t and pivots p_t, a vector x lies
+        With canonical basis vectors b_t and pivots p_t, a vector x lies
         in the span iff x = sum_t x[p_t] b_t, that is iff
         x[j] - sum_t b_t[j] x[p_t] = 0 at every non-pivot coordinate j;
         one row per such j, cleared of denominators (``_solved_rows``).

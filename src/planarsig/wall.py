@@ -28,6 +28,7 @@ from .linalg import (
     RationalMatrix,
     SignatureTriple,
     Subspace,
+    integer_row,
     quotient_basis,
     solve_many,
     symmetric_signature,
@@ -103,14 +104,11 @@ def wall_correction(triple: WallTriple) -> WallCorrection:
                 "quotient representative failed to decompose inside L0 + L+; "
                 "this cannot happen for a valid triple and indicates a bug"
             )
-        ys = sol[: l0.dim]
-        t = lcm(*(y.denominator for y in ys))
+        t, ys = integer_row(sol[: l0.dim])
         B = [0] * n
-        for y, row in zip(ys, l0._rows):
-            if y:
-                c = y.numerator * (t // y.denominator)
-                for j, x in row.items():
-                    B[j] += c * x
+        for k, c in ys.items():
+            for j, x in l0._rows[k].items():
+                B[j] += c * x
         b_parts.append((s * t, B))
 
     # Row i of Psi over s_i T, T the lcm of the s_j t_j, has the integer

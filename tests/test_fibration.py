@@ -67,7 +67,7 @@ class TestCycleMatrix:
         f = family_y1(2)
         B = f.cycle_matrix()
         assert B.shape == (3, 3)
-        cols = {B.column(j) for j in range(3)}
+        cols = {tuple(B[i, j] for i in range(3)) for j in range(3)}
         assert cols == {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
 
 

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from planarsig.linalg import (
     vector,
 )
 
-from oracles import inertia_by_descartes, matmul_dense, rank_by_minors
+from oracles import inertia_by_descartes, matmul_dense, rank_by_minors, rref_dense
 
 
 def identity_grid(n):
@@ -28,7 +29,7 @@ def full_space(n):
 
 def rows_of(M):
     """The entries of a RationalMatrix as a list of lists."""
-    return [list(M.row(i)) for i in range(M.n_rows)]
+    return [[M[i, j] for j in range(M.n_cols)] for i in range(M.n_rows)]
 
 
 def times(grid, v):
@@ -40,7 +41,7 @@ def times(grid, v):
 def hstack(*mats):
     """The matrices side by side, as one RationalMatrix."""
     return RationalMatrix(
-        [sum((M.row(i) for M in mats), ()) for i in range(mats[0].n_rows)],
+        [sum(rows, []) for rows in zip(*map(rows_of, mats))],
         n_cols=sum(M.n_cols for M in mats),
     )
 
@@ -67,13 +68,47 @@ int_grids = st.integers(1, 4).flatmap(
 )
 
 
+class TestVector:
+    def test_exact_entries_pass_and_others_become_fractions(self):
+        half = Fraction(1, 2)
+        got = vector([3, half, "3/4", Decimal("0.5"), True])
+        assert got == (3, half, Fraction(3, 4), Fraction(1, 2), 1)
+        assert type(got[0]) is int
+        assert got[1] is half
+        assert [type(x) for x in got[2:]] == [Fraction] * 3
+
+    def test_float_subclass_refused(self):
+        class Meters(float):
+            pass
+
+        with pytest.raises(TypeError, match="refusing float"):
+            vector([1, Meters(2)])
+
+
 class TestRationalMatrix:
     def test_shape_and_entries(self):
         M = RationalMatrix([[1, 2], [3, 4], [5, 6]])
         assert M.shape == (3, 2)
         assert M[2, 1] == 6
-        assert M.column(0) == (1, 3, 5)
+        assert [row[0] for row in rows_of(M)] == [1, 3, 5]
         assert M.transpose().shape == (2, 3)
+
+    def test_repr(self):
+        # Ints, Fractions, a string, negatives and zeros; the last row is
+        # stored over 6, so its entries are printed in lowest terms.
+        M = RationalMatrix(
+            [
+                [1, Fraction(-2, 3), 0],
+                [0, 0, 0],
+                [Fraction(5), -7, Fraction(1, 10**20)],
+                [Fraction(1, 2), "-2/6", Fraction(5, 6)],
+            ]
+        )
+        assert repr(M) == (
+            "RationalMatrix(4x3: 1 -2/3 0; 0 0 0; 5 -7 1/100000000000000000000; 1/2 -1/3 5/6)"
+        )
+        assert repr(RationalMatrix([], n_cols=3)) == "RationalMatrix(0x3: )"
+        assert repr(RationalMatrix([[], []])) == "RationalMatrix(2x0: ; )"
 
     def test_degenerate_shapes(self):
         assert RationalMatrix([[], [], []]).shape == (3, 0)
@@ -147,7 +182,7 @@ class TestKernel:
         M = RationalMatrix([[1, 1, 1]])
         K = M.kernel()
         assert K.dim == 2
-        for col in K.basis.columns():
+        for col in K.basis:
             assert times(rows_of(M), col) == (0,)
 
     @settings(max_examples=60)
@@ -160,7 +195,7 @@ class TestKernel:
         rng = random.Random(3)
         for _ in range(50):
             M = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-            for col in M.kernel().basis.columns():
+            for col in M.kernel().basis:
                 assert all(x == 0 for x in times(rows_of(M), col))
 
 
@@ -194,6 +229,15 @@ class TestSubspace:
                 assert hash(other) == hash(ref)
                 assert other.basis == ref.basis
 
+    def test_basis_is_a_tuple_of_fraction_vectors(self):
+        gens = [[2, 4, 0, Fraction(2, 3)], [1, 2, 1, 0], [3, 6, 1, Fraction(2, 3)]]
+        basis = Subspace(4, gens).basis
+        assert type(basis) is tuple
+        assert all(type(v) is tuple for v in basis)
+        assert all(type(x) is Fraction for v in basis for x in v)
+        assert basis == tuple(rref_dense(gens))
+        assert Subspace(3).basis == ()
+
     def test_sum_examples(self):
         e1 = [1, 0]
         e2 = [0, 1]
@@ -222,8 +266,8 @@ class TestSubspace:
         U = Subspace(3, [[1, 1, 0], [0, 1, 1]])
         assert [1, 2, 1] in U
         assert [1, 0, 0] not in U
-        assert all(c in U for c in Subspace(3, [[1, 2, 1]]).basis.columns())
-        assert not all(c in Subspace(3, [[1, 1, 0]]) for c in U.basis.columns())
+        assert all(c in U for c in Subspace(3, [[1, 2, 1]]).basis)
+        assert not all(c in Subspace(3, [[1, 1, 0]]) for c in U.basis)
 
     def test_modular_dimension_law(self):
         rng = random.Random(17)
@@ -240,7 +284,7 @@ def representatives(N, D):
     quotient = quotient_basis(N, D)
     assert isinstance(quotient, Subspace)
     assert quotient.ambient_dim == N.ambient_dim
-    return list(quotient.basis.columns())
+    return list(quotient.basis)
 
 
 class TestQuotientBasis:

@@ -139,8 +139,8 @@ class TestBoundaryMap:
         bmap = mapping_torus_boundary_map(3, [])
         z = TorusBoundarySpace(3)
         for j in range(1, 4):
-            col = bmap.matrix.column(z.l_index(j))
-            assert col == (0, 0, 0, 1)
+            col = [bmap.matrix[i, z.l_index(j)] for i in range(bmap.matrix.n_rows)]
+            assert col == [0, 0, 0, 1]
 
     def test_single_cycle_on_annulus(self):
         bmap = mapping_torus_boundary_map(1, class_vectors(1, curves({1})))
