@@ -438,10 +438,47 @@ def singleton_system(rng, rational):
     return rows, n
 
 
-@pytest.mark.parametrize("seed", range(24))
-def test_solve_with_singleton_columns_matches_dense(seed):
-    rng = random.Random(600 + seed)
-    rows, n = singleton_system(rng, seed % 2 == 1)
+PRIMES = (2, 3, 5, 7, 11, 13, 17)
+CHAINED = ("coprime-leads", "free-column-between-pivots", "large-denominators")
+
+
+def chained_system(rng, name):
+    """Seeded rows in echelon form whose back substitution chains through
+    every pivot row: each row leads at its pivot and holds every later
+    column.  The leads are the primes 2, 3, 5, ..., or with
+    ``large-denominators`` Fractions whose parts reach about 10^12.  The
+    last column is free, so a consistent right-hand side moves its part
+    onto every pivot; ``free-column-between-pivots`` also leaves column 2
+    free between pivots.  A sum of two rows and a zero row make some
+    right-hand sides inconsistent."""
+    if name == "free-column-between-pivots":
+        n, pivots = 6, (0, 1, 3, 4)
+    else:
+        n, pivots = 8, range(7)
+    big = name == "large-denominators"
+    rows = []
+    for k, p in enumerate(pivots):
+        v = [Fraction(0)] * n
+        v[p] = big_fraction(rng) if big else Fraction(PRIMES[k])
+        for j in range(p + 1, n):
+            v[j] = big_fraction(rng) if big else Fraction(rng.choice((-2, -1, 1, 2)))
+        rows.append(v)
+    rows.append([x + y for x, y in zip(rows[0], rows[-1])])
+    rows.append([Fraction(0)] * n)
+    rng.shuffle(rows)
+    return rows, n
+
+
+# The seeds draw systems with singleton columns, the names systems whose
+# solutions chain through every pivot row.
+@pytest.mark.parametrize("system", [*range(24), *CHAINED])
+def test_solve_with_singleton_columns_matches_dense(system):
+    if system in CHAINED:
+        rng = random.Random(700 + CHAINED.index(system))
+        rows, n = chained_system(rng, system)
+    else:
+        rng = random.Random(600 + system)
+        rows, n = singleton_system(rng, system % 2 == 1)
     M = RationalMatrix(rows)
     consistent = times(rows, [nonzero(rng, True) if rng.random() < 0.7 else 0 for _ in range(n)])
     # Nonzero on the zero row, so never consistent.
@@ -449,10 +486,13 @@ def test_solve_with_singleton_columns_matches_dense(seed):
     # Consistent or not, as the row that moves depends on the others.
     bumped = list(consistent)
     bumped[rng.randrange(len(rows))] += 1
-    rhs = [consistent, arbitrary, bumped, [0] * len(rows)]
+    # The last column, which is free: its part moves onto the pivots.
+    last = [row[-1] for row in rows]
+    rhs = [consistent, arbitrary, bumped, [0] * len(rows), last]
     got = solve_many(M, rhs)
     assert got == solve_dense(rows, n, rhs)
     assert got[0] is not None and got[1] is None and got[3] == (0,) * n
+    assert got[4] is not None and got[4][-1] == 0
     assert solve_many(M, []) == [] == solve_dense(rows, n, [])
 
 
