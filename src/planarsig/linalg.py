@@ -16,8 +16,10 @@ nonzero int; ``integer_row`` turns a row of ints and Fractions into one
 by multiplying with the lcm of its denominators, and it is primitive
 once the gcd of its entries is divided out.  Matrices and subspaces
 are held as such rows, and every operation works on them, so integers
-pass from one elimination to the next (see ``_clear``, ``_eliminate``,
-``_rref`` and ``solve_many``).
+pass from one elimination to the next.  There is one forward
+elimination, ``_eliminate``, made of ``_clear`` steps; ``_rref`` adds
+back substitution of rows for the canonical rows of spans, kernels and
+meets, and ``solve_many`` back substitution of values.
 
 Entries cross the edge by one rule each way.  ``vector`` coerces what
 comes in: ``RationalMatrix(...)``, ``Subspace(...)``, ``in`` and
@@ -31,10 +33,9 @@ Fractions, built from the integer rows on each read: ``M[i, j]``,
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -109,81 +110,56 @@ def _clear(row: dict[int, int], pivot: dict[int, int], lead: int, f: int) -> Non
     _divide_content(row)
 
 
-def _eliminate(work: list[dict[int, int]], limit: int, reduced: bool) -> list[int]:
-    """Row-reduce the integer rows ``work`` in place with leftmost pivots
-    among the first ``limit`` columns, and return the pivot columns.
+def _eliminate(work: list[dict[int, int]], limit: int
+               ) -> tuple[list[int], list[dict[int, int]], list[dict[int, int]]]:
+    """Forward Gaussian elimination of the integer rows ``work``, with
+    leftmost pivots among the first ``limit`` columns.  The rows are
+    consumed.  Returns ``(pivots, pivot_rows, rest)``: the pivot columns
+    in increasing order, the pivot row of each, which is zero left of
+    its pivot, and the other nonzero rows, which are zero left of
+    ``limit``.
 
-    The forward pass is Gaussian elimination that takes, for column c,
-    the first row at or below ``rank`` holding c as pivot, swaps it up
-    to ``rank`` and clears c in the rows below.  Those rows are zero
-    left of c, so a row holds c exactly when c is its lowest column:
-    rows below the pivots wait in buckets keyed by their lowest column
-    (below ``limit``), the pivot is the lowest position in bucket c,
-    and a row is re-bucketed once it is cleared.  Columns no row starts
-    at cost one dict lookup.  With ``reduced``, back substitution then
-    clears each pivot row, bottom-up, at the later pivot columns it
-    holds, using the pivot rows below it, which are already reduced.
+    A row holds column c as its pivot candidate exactly when c is its
+    lowest column, so rows wait in buckets keyed by their lowest column
+    (below ``limit``; the others go to ``rest``).  At column c the first
+    row of c's bucket becomes the pivot row and clears c in the other
+    rows there, which are re-bucketed at their new lowest column.
+    Columns no row starts at cost one dict lookup.
 
-    Each step is ``_clear``, so every row stays a nonzero multiple of the
-    row that ``Fraction`` elimination would hold at the same step, and a
-    row that enters primitive stays primitive.  Pivot row i over its
-    entry at ``pivots[i]`` is therefore the ``Fraction`` row, and a row
-    left without a pivot, which only ``limit`` leaves nonzero, is a
-    nonzero multiple of it.  A reduced pivot row is the unique row of
-    the span of the forward pivot rows with its lead at its pivot and
-    zeros at the other pivots, so it is the row a sweep that clears
-    above and below each pivot in turn would hold, up to sign.
+    Each step is ``_clear``, so a row that enters primitive stays
+    primitive.  The pivot columns are those of every leftmost-pivot
+    elimination, whichever row it takes as pivot, and the pivot rows
+    with ``rest`` span the rows of ``work``.
     """
-    buckets: dict[int, list[int]] = {}
-    # low[i]: the bucket that row i waits in, or None; kept for the rows
-    # at or below ``rank``.
-    low: list[int | None] = [None] * len(work)
-    for i, row in enumerate(work):
+    buckets: dict[int, list[dict[int, int]]] = {}
+    rest: list[dict[int, int]] = []
+
+    def place(row: dict[int, int]) -> None:
         if row:
             c = min(row)
             if c < limit:
-                low[i] = c
-                buckets.setdefault(c, []).append(i)
+                buckets.setdefault(c, []).append(row)
+            else:
+                rest.append(row)
+
+    for row in work:
+        place(row)
     pivots: list[int] = []
-    rank = 0
+    pivot_rows: list[dict[int, int]] = []
     for c in range(limit):
         if not buckets:
             break
         bucket = buckets.pop(c, None)
         if bucket is None:
             continue
-        p = min(bucket)
-        if p != rank:
-            # The row at ``rank`` does not hold c, or it would be the
-            # pivot; it moves to p.
-            moved = low[rank]
-            if moved is not None:
-                held = buckets[moved]
-                held[held.index(rank)] = p
-            work[rank], work[p] = work[p], work[rank]
-            low[p] = moved
-        pivot = work[rank]
+        pivot = bucket[0]
         lead = pivot[c]
-        for i in bucket:
-            if i != p:
-                row = work[i]
-                _clear(row, pivot, lead, row[c])
-                first = min(row) if row else limit
-                if first < limit:
-                    low[i] = first
-                    buckets.setdefault(first, []).append(i)
-                else:
-                    low[i] = None
+        for row in bucket[1:]:
+            _clear(row, pivot, lead, row[c])
+            place(row)
         pivots.append(c)
-        rank += 1
-    if reduced:
-        where = {c: k for k, c in enumerate(pivots)}
-        for k in range(rank - 2, -1, -1):
-            row = work[k]
-            for c in [c for c in row if c in where and where[c] != k]:
-                pivot = work[where[c]]
-                _clear(row, pivot, pivot[c], row[c])
-    return pivots
+        pivot_rows.append(pivot)
+    return pivots, pivot_rows, rest
 
 
 class RationalMatrix:
@@ -297,7 +273,7 @@ class RationalMatrix:
         return work
 
     def rank(self) -> int:
-        return len(_eliminate(self._primitive_rows(), self.n_cols, reduced=False))
+        return len(_eliminate(self._primitive_rows(), self.n_cols)[0])
 
     def kernel(self) -> "Subspace":
         """Null space {x : Mx = 0} as a canonical subspace of Q^n_cols,
@@ -349,9 +325,10 @@ def _reduce(rest: dict[int, int],
 
 
 def _rref(work: list[dict[int, int]], n: int) -> tuple[list[int], list[dict[int, int]]]:
-    """Pivots, in increasing order, and pivot rows of the reduced row
-    echelon form of the integer rows ``work``; each row over its entry
-    at its pivot is the RREF row.  The rows are consumed.
+    """Pivots, in increasing order, and rows of the reduced row echelon
+    form of the integer rows ``work``: each row is the primitive integer
+    multiple of its RREF row with a positive entry at its pivot, so the
+    rows of a span are its canonical rows.  The rows are consumed.
 
     A one-entry row {j: x} is pivoted by inspection (the singleton
     rule): the RREF is unique and holds e_j whenever the span does, so
@@ -360,6 +337,14 @@ def _rref(work: list[dict[int, int]], n: int) -> tuple[list[int], list[dict[int,
     divided out again, only the rows left nonzero are eliminated, and
     their pivot rows, zero at every such j, are merged with the e_j by
     pivot.
+
+    After the forward pass (``_eliminate``), back substitution clears
+    each pivot row, bottom-up, at the later pivot columns it holds,
+    using the pivot rows below it, which are already reduced.  Each
+    step is ``_clear``, so every row stays primitive and ends as the
+    unique primitive row of the span with its lead at its pivot and
+    zeros at the other pivots, whichever pivot rows the forward pass
+    took; a sign flip makes its lead positive.
     """
     units = {next(iter(row)) for row in work if len(row) == 1}
     if units:
@@ -375,23 +360,21 @@ def _rref(work: list[dict[int, int]], n: int) -> tuple[list[int], list[dict[int,
                     _divide_content(row)
                 rest.append(row)
         work = rest
-    pivots = _eliminate(work, n, reduced=True)
-    rows = work[: len(pivots)]
-    if units:
-        merged = sorted([*zip(pivots, rows), *((j, {j: 1}) for j in units)])
-        pivots = [p for p, _ in merged]
-        rows = [row for _, row in merged]
-    return pivots, rows
-
-
-def _span_rows(work: list[dict[int, int]], n: int) -> tuple[list[int], list[dict[int, int]]]:
-    """Pivots and canonical rows of the span of primitive integer rows,
-    which are consumed (``_rref``, singleton rule included)."""
-    pivots, rows = _rref(work, n)
+    pivots, rows, _ = _eliminate(work, n)
+    where = {c: k for k, c in enumerate(pivots)}
+    for k in range(len(rows) - 2, -1, -1):
+        row = rows[k]
+        for c in [c for c in row if c in where and where[c] != k]:
+            pivot = rows[where[c]]
+            _clear(row, pivot, pivot[c], row[c])
     for p, row in zip(pivots, rows):
         if row[p] < 0:
             for j in row:
                 row[j] = -row[j]
+    if units:
+        merged = sorted([*zip(pivots, rows), *((j, {j: 1}) for j in units)])
+        pivots = [p for p, _ in merged]
+        rows = [row for _, row in merged]
     return pivots, rows
 
 
@@ -454,31 +437,24 @@ def solve_many(M: RationalMatrix, rhs: Sequence[Sequence]) -> list[Vector | None
 
     Returns, per b, a solution with all free variables set to zero
     (under leftmost-pivot echelon form) or None if inconsistent.  The
-    augmented rows are eliminated as integer rows with pivots among the
-    columns of M.  A system is inconsistent when its column is nonzero
-    in a row left without a pivot; otherwise x at pivot p is the
-    column's entry in p's row over that row's lead.
-
-    A row whose lowest column c no other row holds is pivoted by
-    inspection (the singleton rule).  No other row ever comes to hold
-    c, so under the leftmost-pivot rule this row is c's pivot row and
-    never clears another row; back substitution only clears it at the
-    later pivots it holds.  The other rows are therefore eliminated
-    alone and decide consistency, and x_c is read off this row by value:
-    x_c = (b - sum_p a_p x_p) / a_c over the pivots p of the other rows,
-    with every x_p put over the lcm of their leads, so that the sum
-    stays in integers and one Fraction is made at the end.  Such a row
-    holds no other row's singleton column, and x is zero at the free
-    columns, so the solution is the one that eliminating all rows
-    together gives.
+    augmented rows are eliminated forward as integer rows with pivots
+    among the columns of M (``_eliminate``).  A system is inconsistent
+    when its column is nonzero in a row left without a pivot.  Otherwise
+    back substitution by value runs bottom-up over the pivot rows: the
+    row of pivot p, with entries a_q and b, gives
+    x_p = (b - sum_q a_q x_q) / a_p over the later pivots q it holds.
+    Every x_q is kept as an integer over one common denominator, which
+    grows by the part of a_p that does not divide the new numerator, so
+    the sums stay in integers and one Fraction per entry is made at the
+    end.  The pivot columns and the values at the free columns are
+    fixed, so the solution does not depend on the pivot rows taken.
     """
     targets = [vector(b) for b in rhs]
     for b in targets:
         if len(b) != M.n_rows:
             raise ValueError(f"right-hand side of length {len(b)} against {M.shape} matrix")
     n = M.n_cols
-    held = Counter(chain.from_iterable(row for _, row in M._rows))
-    work, singles = [], []
+    work = []
     for i, (scale, row) in enumerate(M._rows):
         t, tail = integer_row([b[i] for b in targets])
         common = lcm(scale, t)
@@ -488,37 +464,34 @@ def solve_many(M: RationalMatrix, rhs: Sequence[Sequence]) -> list[Vector | None
         for k, y in tail.items():
             w[n + k] = y * f
         _divide_content(w)
-        if row and held[c := min(row)] == 1:
-            singles.append((c, w))
-        else:
-            work.append(w)
-    pivots = _eliminate(work, n, reduced=True)
-    rank = len(pivots)
-    # Per singleton row: its column c, the row, and (p, a_p) for each
-    # pivot p it holds.
-    is_pivot = set(pivots)
-    substitutions = [(c, w, [(p, w[p]) for p in w if p in is_pivot]) for c, w in singles]
+        work.append(w)
+    pivots, rows, rest = _eliminate(work, n)
     out: list[Vector | None] = []
     for col in range(n, n + len(targets)):
-        if any(col in row for row in work[rank:]):
+        if any(col in row for row in rest):
             out.append(None)
             continue
+        # x_q = num[q] / denominator, zero where num has no q.
+        num: dict[int, int] = {}
+        denominator = 1
+        for p, row in zip(reversed(pivots), reversed(rows)):
+            total = row.get(col, 0) * denominator
+            for q, a in row.items():
+                y = num.get(q)
+                if y is not None:
+                    total -= a * y
+            if total:
+                lead = row[p]
+                g = gcd(total, lead)
+                f = lead // g
+                if f != 1:
+                    denominator *= f
+                    for q in num:
+                        num[q] *= f
+                num[p] = total // g
         x = [_ZERO] * n
-        solved = [(p, f, row[p]) for p, row in zip(pivots, work) if (f := row.get(col)) is not None]
-        for p, f, lead in solved:
-            x[p] = Fraction(f, lead)
-        if substitutions:
-            # x_p = num[p] / denominator, zero where num has no p.
-            denominator = lcm(*(lead for _, _, lead in solved))
-            num = {p: f * (denominator // lead) for p, f, lead in solved}
-            for c, w, held_pivots in substitutions:
-                total = w.get(col, 0) * denominator
-                for p, a in held_pivots:
-                    y = num.get(p)
-                    if y is not None:
-                        total -= a * y
-                if total:
-                    x[c] = Fraction(total, w[c] * denominator)
+        for p, y in num.items():
+            x[p] = Fraction(y, denominator)
         out.append(tuple(x))
     return out
 
@@ -546,7 +519,7 @@ class Subspace:
             if len(w) != ambient_dim:
                 raise ValueError(f"generator of length {len(w)} in Q^{ambient_dim}")
             work.append(_primitive(w))
-        pivots, rows = _span_rows(work, ambient_dim)
+        pivots, rows = _rref(work, ambient_dim)
         self.ambient_dim = ambient_dim
         self._pivots = tuple(pivots)
         self._rows = tuple(rows)
@@ -585,7 +558,7 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         work = [dict(row) for row in self._rows + other._rows]
-        return Subspace._from_rows(self.ambient_dim, *_span_rows(work, self.ambient_dim))
+        return Subspace._from_rows(self.ambient_dim, *_rref(work, self.ambient_dim))
 
     def __and__(self, other: "Subspace") -> "Subspace":
         """Intersection: the null space of both operands' equations
@@ -674,10 +647,11 @@ def symmetric_signature(S: RationalMatrix) -> SignatureTriple:
     """Inertia of an exactly symmetric matrix by congruence diagonalization.
 
     Row i and column i are first scaled by s_i, the lcm of row i's
-    denominators, which is the scale the row is stored with.  That is the congruence D S D with D = diag(s), whose
-    entries s_i s_j S[i][j] are integers (by symmetry the denominator of
-    S[i][j] divides s_j), and D is positive definite, so by Sylvester's
-    law of inertia the sign counts do not change.  The elimination then
+    denominators, which is the scale the row is stored with.  That is
+    the congruence D S D with D = diag(s), whose entries s_i s_j S[i][j]
+    are integers (by symmetry the denominator of S[i][j] divides s_j),
+    and D is positive definite, so by Sylvester's law of inertia the
+    sign counts do not change.  The elimination then
     stays in integers: a nonzero diagonal pivot d of the active block
     counts by its sign, and the trailing block B is replaced by
     |d| (B - v v^T / d) = |d| B - sign(d) v v^T, a positive multiple of

@@ -33,7 +33,7 @@ from .linalg import (
     solve_many,
     symmetric_signature,
 )
-from .surfaces import TorusBoundarySpace
+from .surfaces import TorusBoundarySpace, _refuse_non_integers
 
 
 @dataclass(frozen=True)
@@ -158,14 +158,27 @@ class MappingTorusBoundaryMap:
     matrix: RationalMatrix
 
 
+def _check_vectors(r: int, vectors: Sequence[Sequence[int]]) -> None:
+    """Raise ValueError, naming the vector's index, unless every cycle
+    vector has r entries and each is an int (bools refused)."""
+    for k, x in enumerate(vectors):
+        if len(x) != r:
+            raise ValueError(f"cycle vector {k} has {len(x)} entries, expected {r}")
+        if set(map(type, x)) - {int}:
+            _refuse_non_integers(x, f"cycle vector {k} entry")
+
+
 def mapping_torus_boundary_map(
     r: int, vectors: Sequence[Sequence[int]]
 ) -> MappingTorusBoundaryMap:
     """Assemble the boundary-inclusion matrix as integer rows.
 
     ``vectors`` are the cycle classes in the basis (m_1, ..., m_r) of
-    the fiber's first homology, one per vanishing cycle.
+    the fiber's first homology, one per vanishing cycle; a vector of
+    another length or with an entry that is not an int raises
+    ValueError.
     """
+    _check_vectors(r, vectors)
     space = TorusBoundarySpace(r)
     # The m_0 column is -(m_1 + ... + m_r) and m_j maps to m_j.
     rows = [{space.m_index(0): -1, space.m_index(i + 1): 1} for i in range(r)]
@@ -211,8 +224,10 @@ def lplus_closed_form(r: int, vectors: Sequence[Sequence[int]]) -> Subspace:
     The generators are l_k - l_0 + sum_s Q(gamma_s, l_k) gamma_s for
     k = 1..r together with m_0 + ... + m_r.  On every instance this
     must equal lplus_kernel of the assembled boundary map; the package
-    test suite enforces that cross-check.
+    test suite enforces that cross-check.  ``vectors`` are checked as
+    in ``mapping_torus_boundary_map``.
     """
+    _check_vectors(r, vectors)
     space = TorusBoundarySpace(r)
     gens: list[list[int]] = []
     for k in range(1, r + 1):

@@ -8,6 +8,7 @@ import json
 import pathlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -16,6 +17,7 @@ from planarsig.linalg import (
     Subspace,
     _eliminate,
     _primitive,
+    _rref,
     quotient_basis,
     solve_many,
     symmetric_signature,
@@ -81,14 +83,14 @@ CASES = cases(((6, 9), (17, 11), (24, 48)))
 LARGE_CASES = cases(((40, 80),))
 
 
-# Grids that steer the pivot search of ``_eliminate`` through each of
-# its cases, with and without a pivot limit of half the columns: the
-# pivot found below ``rank``, so the row at ``rank`` moves down to the
-# pivot's place; that row waiting for a later column, next to a row its
-# move passes, or moving again at the next column; that row already
-# cleared to zero; the row at ``rank`` holding the column itself, so it
-# is the pivot and the rows below are cleared; rows cleared to zero;
-# rows that start or end up with their lowest column past the limit.
+# Grids that steer ``_eliminate`` through each of its cases, with and
+# without a pivot limit of half the columns: a bucket of several rows,
+# whose first row is the pivot and whose other rows are cleared and move
+# to a later bucket, to one that holds rows already, to one that no row
+# started at, or out of the buckets; rows cleared to zero; a row that
+# waits in its bucket while several pivots pass; rows that start or end
+# up with their lowest column past the limit.  Their names recall the
+# row swaps of the positional elimination they were first drawn for.
 BUCKET_GRIDS = {
     "moved-row-waits": [
         [0, 0, 3, 0, 1, 0, 0, 2],
@@ -122,6 +124,11 @@ BUCKET_GRIDS = {
         [0, 0, 0, 0, 3, 2],
         [0, 0, 0, 0, 0, Fraction(1, 2)],
     ],
+    "cleared-row-joins-a-bucket": [
+        [1, 1, 0, 0],
+        [1, 0, 1, 0],
+        [0, 1, 0, 1],
+    ],
 }
 
 
@@ -145,38 +152,55 @@ def grid(request):
     return case_grid(request.param)
 
 
-def check_eliminate(grid, reduced, limit):
-    """``_eliminate`` on the primitive integer rows of ``grid`` against
-    ``echelonize_dense`` on its Fractions: the same pivots, each pivot
-    row over its lead equal to the dense row, and each row left without
-    a pivot a nonzero multiple of the dense row (both zero without a
-    pivot limit)."""
+def as_grid(rows, n_cols):
+    return [[Fraction(row.get(j, 0)) for j in range(n_cols)] for row in rows]
+
+
+def check_rref(grid):
+    """``_rref`` on the primitive integer rows of ``grid`` against the
+    reduced ``echelonize_dense`` on its Fractions: the same pivots, and
+    each row primitive, positive at its pivot and, over that entry,
+    equal to the dense row."""
     n_cols = len(grid[0])
-    work = [_primitive(row) for row in grid]
     ref = [list(row) for row in grid]
-    pivots = _eliminate(work, n_cols if limit is None else limit, reduced)
-    assert pivots == echelonize_dense(ref, reduced, limit)
-    for i, (row, dense) in enumerate(zip(work, ref)):
-        if i < len(pivots):
-            lead = row[pivots[i]]
-            assert [Fraction(row.get(j, 0), lead) for j in range(n_cols)] == dense
-        elif not row:
-            assert not any(dense)
-        else:
-            first = min(row)
-            c = dense[first] / row[first]
-            assert c != 0
-            assert [c * row.get(j, 0) for j in range(n_cols)] == dense
+    dense_pivots = echelonize_dense(ref)
+    pivots, rows = _rref([_primitive(row) for row in grid], n_cols)
+    assert pivots == dense_pivots
+    assert len(rows) == len(pivots)
+    for p, row, dense in zip(pivots, rows, ref):
+        assert row[p] > 0 and gcd(*row.values()) == 1
+        assert [Fraction(row.get(j, 0), row[p]) for j in range(n_cols)] == dense
+
+
+def check_eliminate(grid, limit):
+    """The forward pass ``_eliminate`` on the primitive integer rows of
+    ``grid`` against the unreduced ``echelonize_dense`` on its
+    Fractions.  An unreduced echelon form depends on the pivot rows
+    taken, so rows are not compared one by one: the pivots are the dense
+    pivots, each pivot row has its pivot as its lowest column, every row
+    returned is primitive, the pivot rows and ``rest`` span the rows of
+    ``grid``, and ``rest`` lies past the limit and spans the rows that
+    the dense pass leaves without a pivot."""
+    n_cols = len(grid[0])
+    limit = n_cols if limit is None else limit
+    ref = [list(row) for row in grid]
+    dense_pivots = echelonize_dense(ref, False, limit)
+    pivots, pivot_rows, rest = _eliminate([_primitive(row) for row in grid], limit)
+    assert pivots == dense_pivots
+    assert [min(row) for row in pivot_rows] == pivots
+    assert all(min(row) >= limit for row in rest)
+    assert all(gcd(*row.values()) == 1 for row in pivot_rows + rest)
+    assert rref_dense(as_grid(pivot_rows + rest, n_cols)) == rref_dense(grid)
+    assert rref_dense(as_grid(rest, n_cols)) == rref_dense(ref[len(pivots):])
 
 
 def test_echelonize_matches_dense(grid):
-    n_cols = len(grid[0])
-    for reduced, limit in ((True, None), (False, None), (True, n_cols // 2)):
-        check_eliminate(grid, reduced, limit)
+    check_rref(grid)
+    check_eliminate(grid, None)
 
 
 def test_echelonize_unreduced_with_pivot_limit_matches_dense(grid):
-    check_eliminate(grid, False, len(grid[0]) // 2)
+    check_eliminate(grid, len(grid[0]) // 2)
 
 
 def big_fraction(rng):
@@ -210,9 +234,9 @@ def test_large_denominators_match_dense(shape, density):
     n_rows, n_cols = shape
     rng = random.Random(1000 * n_rows + n_cols + int(10 * density))
     grid = big_grid(rng, n_rows, n_cols, density)
-    for reduced in (True, False):
-        for limit in (None, n_cols // 2):
-            check_eliminate(grid, reduced, limit)
+    check_rref(grid)
+    for limit in (None, n_cols // 2):
+        check_eliminate(grid, limit)
     M = RationalMatrix(grid)
     assert Subspace(n_cols, grid).basis == tuple(rref_dense(grid))
     assert M.rank() == len(rref_dense(grid))

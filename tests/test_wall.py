@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -155,6 +156,21 @@ class TestBoundaryMap:
         forced = PlanarFibration(PlanarSurface(2), null, force=True).boundary_map()
         assert forced == mapping_torus_boundary_map(2, [(0, 0)])
         assert forced.matrix.shape == (3, 6)
+
+
+@pytest.mark.parametrize("build", [mapping_torus_boundary_map, lplus_closed_form],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("vectors", [
+    [[1]],
+    [[0, 1], [1, 1, 1]],
+    [[Fraction(1, 2), 1]],
+    [[1, 0], [True, 0]],
+    [[1, 0], [0, 1], [1, 1.0]],
+], ids=["short", "long", "fraction", "bool", "float"])
+def test_cycle_vectors_are_checked(build, vectors):
+    # r = 2: each vector needs two int entries; the last one given has not.
+    with pytest.raises(ValueError, match=f"^cycle vector {len(vectors) - 1} "):
+        build(2, vectors)
 
 
 class TestLplus:
