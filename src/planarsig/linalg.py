@@ -14,8 +14,9 @@ reduced row echelon form of the generators stacked as rows).
 Elimination runs on integers.  An integer row is a map from column to
 nonzero int; ``integer_row`` turns a row of ints and Fractions into one
 by multiplying with the lcm of its denominators, and it is primitive
-once the gcd of its entries is divided out.  Matrices and subspaces
-are held as such rows, and every operation works on them, so integers
+once the gcd of its entries is divided out.  A matrix is held as
+integer rows over one denominator for the whole matrix, a subspace as
+primitive integer rows, and every operation works on them, so integers
 pass from one elimination to the next.  There is one forward
 elimination, ``_eliminate``, made of ``_clear`` steps; ``_rref`` adds
 back substitution of rows for the canonical rows of spans, kernels and
@@ -163,19 +164,22 @@ def _eliminate(work: list[dict[int, int]], limit: int
 
 
 class RationalMatrix:
-    """Immutable matrix of rationals, held as one integer row per row.
+    """Immutable matrix of rationals, held as integer rows over one
+    denominator.
 
-    Row i is stored as ``(s, {column: s * x})``, with an entry for each
-    nonzero x only: s >= 1 is the lcm of the denominators of the row's
-    entries, so s and the stored entries have no common factor.  That
-    form is unique for given values, so ``==`` and ``hash`` compare it
-    directly.  ``M[i, j]`` builds a Fraction on each read; every other
-    operation works on the integer rows.
+    The matrix is ``R / d``: d >= 1, and row i of R is stored as
+    ``{column: entry}`` over its nonzero ints only, with no common
+    factor of d and every entry.  That form is unique for given values,
+    so ``==`` and ``hash`` compare it directly.  ``M[i, j]`` builds a
+    Fraction on each read; every other operation works on the integer
+    rows.
     """
 
-    __slots__ = ("n_rows", "n_cols", "_rows")
+    __slots__ = ("n_rows", "n_cols", "_den", "_rows")
 
     def __init__(self, rows: Iterable[Iterable], n_cols: int | None = None):
+        if n_cols is not None and n_cols < 0:
+            raise ValueError("column count must be nonnegative")
         data = [vector(row) for row in rows]
         if data:
             widths = {len(row) for row in data}
@@ -187,24 +191,34 @@ class RationalMatrix:
             n_cols = width
         elif n_cols is None:
             n_cols = 0
-        self._rows = tuple(integer_row(row) for row in data)
-        self.n_rows = len(self._rows)
-        self.n_cols = n_cols
+        den = lcm(*(x.denominator for row in data for x in row))
+        rows = [
+            {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
+            for row in data
+        ]
+        self._store(n_cols, den, rows)
 
     @classmethod
-    def _from_rows(cls, n_cols: int,
-                   rows: Iterable[tuple[int, dict[int, int]]]) -> "RationalMatrix":
-        """The matrix whose row i is ``entries / scale`` for the i-th
-        ``(scale, entries)``: scale >= 1, entries ``{column: nonzero int}``.
-
-        Each row is brought to the stored form by dividing out the gcd
-        of its scale and entries; the dicts are kept, never mutated.
-        """
+    def _from_rows(cls, n_cols: int, den: int,
+                   rows: Iterable[dict[int, int]]) -> "RationalMatrix":
+        """The matrix ``R / den`` whose row i of R is the i-th of ``rows``:
+        den >= 1, rows ``{column: nonzero int}``.  The dicts are never
+        mutated, and kept unless den and every entry share a factor."""
         self = cls.__new__(cls)
-        self._rows = tuple(_reduced(scale, entries) for scale, entries in rows)
-        self.n_rows = len(self._rows)
-        self.n_cols = n_cols
+        self._store(n_cols, den, list(rows))
         return self
+
+    def _store(self, n_cols: int, den: int, rows: list[dict[int, int]]) -> None:
+        """Set the fields, with the gcd of den and every entry divided out."""
+        if den != 1:
+            g = gcd(den, *(x for row in rows for x in row.values()))
+            if g > 1:
+                den //= g
+                rows = [{j: x // g for j, x in row.items()} for row in rows]
+        self._den = den
+        self._rows = tuple(rows)
+        self.n_rows = len(rows)
+        self.n_cols = n_cols
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -212,62 +226,50 @@ class RationalMatrix:
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        scale, row = self._rows[i]
-        x = row.get(range(self.n_cols)[j])
-        return _ZERO if x is None else Fraction(x, scale)
+        x = self._rows[i].get(range(self.n_cols)[j])
+        return _ZERO if x is None else Fraction(x, self._den)
 
     def entry_strings(self) -> list[list[str]]:
         """The entries as ``str(Fraction)`` prints them, formatted from the
-        stored rows: entry x of a row over scale s is x/s in lowest terms.
+        stored rows: entry x over the denominator d is x/d in lowest terms.
 
         Raises ValueError past Python's limit on int -> str digits.
         """
         out = []
-        for scale, entries in self._rows:
+        for entries in self._rows:
             row = ["0"] * self.n_cols
             for j, x in entries.items():
-                g = gcd(x, scale)
-                row[j] = str(x // g) if g == scale else f"{x // g}/{scale // g}"
+                g = gcd(x, self._den)
+                row[j] = str(x // g) if g == self._den else f"{x // g}/{self._den // g}"
             out.append(row)
         return out
 
     def transpose(self) -> "RationalMatrix":
-        """Rows become columns; each new row is put over the lcm of the
-        scales of the rows it takes entries from."""
-        terms: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n_cols)]
-        for i, (scale, row) in enumerate(self._rows):
+        """Rows become columns, over the same denominator."""
+        columns: list[dict[int, int]] = [{} for _ in range(self.n_cols)]
+        for i, row in enumerate(self._rows):
             for j, x in row.items():
-                terms[j].append((i, x, scale))
-        out = []
-        for entries in terms:
-            scale = lcm(*(s for _, _, s in entries))
-            out.append((scale, {i: x * (scale // s) for i, x, s in entries}))
-        return RationalMatrix._from_rows(self.n_rows, out)
+                columns[j][i] = x
+        return RationalMatrix._from_rows(self.n_rows, self._den, columns)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        """Row i of the product, over the scale s_i * lcm of the scales
-        t_j of the rows of ``other`` it meets, is a sum of integer rows."""
+        """The product of the integer rows, over the product of the two
+        denominators."""
         if self.n_cols != other.n_rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         orows = other._rows
         out = []
-        for scale, row in self._rows:
-            common = lcm(*(orows[j][0] for j in row))
+        for row in self._rows:
             acc: dict[int, int] = {}
             for j, x in row.items():
-                t, b = orows[j]
-                f = x * (common // t)
-                for k, y in b.items():
-                    acc[k] = acc.get(k, 0) + f * y
-            out.append((scale * common, {k: v for k, v in acc.items() if v}))
-        return RationalMatrix._from_rows(other.n_cols, out)
-
-    def is_symmetric(self) -> bool:
-        return self.n_rows == self.n_cols and self == self.transpose()
+                for k, y in orows[j].items():
+                    acc[k] = acc.get(k, 0) + x * y
+            out.append({k: v for k, v in acc.items() if v})
+        return RationalMatrix._from_rows(other.n_cols, self._den * other._den, out)
 
     def _primitive_rows(self) -> list[dict[int, int]]:
         """Copies of the stored rows with their content divided out."""
-        work = [dict(row) for _, row in self._rows]
+        work = [dict(row) for row in self._rows]
         for row in work:
             _divide_content(row)
         return work
@@ -284,25 +286,17 @@ class RationalMatrix:
         return (
             isinstance(other, RationalMatrix)
             and self.n_cols == other.n_cols
+            and self._den == other._den
             and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        rows = tuple((scale, frozenset(row.items())) for scale, row in self._rows)
-        return hash((self.n_cols, rows))
+        rows = tuple(frozenset(row.items()) for row in self._rows)
+        return hash((self.n_cols, self._den, rows))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(row) for row in self.entry_strings())
         return f"RationalMatrix({self.n_rows}x{self.n_cols}: {body})"
-
-
-def _reduced(scale: int, row: dict[int, int]) -> tuple[int, dict[int, int]]:
-    """``(scale, row)`` with the gcd of scale and the entries divided out."""
-    if scale != 1:
-        g = gcd(scale, *row.values())
-        if g > 1:
-            return scale // g, {j: x // g for j, x in row.items()}
-    return scale, row
 
 
 def _primitive(row: Sequence) -> dict[int, int]:
@@ -453,16 +447,14 @@ def solve_many(M: RationalMatrix, rhs: Sequence[Sequence]) -> list[Vector | None
     for b in targets:
         if len(b) != M.n_rows:
             raise ValueError(f"right-hand side of length {len(b)} against {M.shape} matrix")
-    n = M.n_cols
+    n, den = M.n_cols, M._den
     work = []
-    for i, (scale, row) in enumerate(M._rows):
+    for i, row in enumerate(M._rows):
+        # Row i of M is R_i / d, so R_i x = d b_i, times the lcm t of b_i.
         t, tail = integer_row([b[i] for b in targets])
-        common = lcm(scale, t)
-        f = common // scale
-        w = {j: x * f for j, x in row.items()} if f != 1 else dict(row)
-        f = common // t
+        w = {j: x * t for j, x in row.items()} if t != 1 else dict(row)
         for k, y in tail.items():
-            w[n + k] = y * f
+            w[n + k] = y * den
         _divide_content(w)
         work.append(w)
     pivots, rows, rest = _eliminate(work, n)
@@ -646,15 +638,12 @@ class SignatureTriple:
 def symmetric_signature(S: RationalMatrix) -> SignatureTriple:
     """Inertia of an exactly symmetric matrix by congruence diagonalization.
 
-    Row i and column i are first scaled by s_i, the lcm of row i's
-    denominators, which is the scale the row is stored with.  That is
-    the congruence D S D with D = diag(s), whose entries s_i s_j S[i][j]
-    are integers (by symmetry the denominator of S[i][j] divides s_j),
-    and D is positive definite, so by Sylvester's law of inertia the
-    sign counts do not change.  The elimination then
-    stays in integers: a nonzero diagonal pivot d of the active block
-    counts by its sign, and the trailing block B is replaced by
-    |d| (B - v v^T / d) = |d| B - sign(d) v v^T, a positive multiple of
+    S is stored as integer rows over one denominator d, so the stored
+    rows are the integer matrix d·S, d > 0, with the same inertia; its
+    symmetry is that of S.  The elimination then stays in integers: a
+    nonzero diagonal pivot e of the active block counts by its sign,
+    and the trailing block B is replaced by
+    |e| (B - v v^T / e) = |e| B - sign(e) v v^T, a positive multiple of
     the Schur complement, with its content divided out.  When the
     active diagonal is all zero but some off-diagonal entry A[i][j] is
     not, adding row j to row i and column j to column i makes the (i,i)
@@ -663,12 +652,9 @@ def symmetric_signature(S: RationalMatrix) -> SignatureTriple:
     n = S.n_rows
     if n != S.n_cols:
         raise ValueError(f"matrix of shape {S.shape} is not square")
-    if not S.is_symmetric():
+    A = [[row.get(j, 0) for j in range(n)] for row in S._rows]
+    if A != [list(column) for column in zip(*A)]:
         raise ValueError("matrix is not exactly symmetric")
-    A = [[0] * n for _ in range(n)]
-    for row, (_, entries) in zip(A, S._rows):
-        for j, x in entries.items():
-            row[j] = x * S._rows[j][0]
     n_plus = n_minus = 0
     k = 0
     while k < n:
@@ -690,15 +676,15 @@ def symmetric_signature(S: RationalMatrix) -> SignatureTriple:
             A[k], A[p] = A[p], A[k]
             for r in range(k, n):
                 A[r][k], A[r][p] = A[r][p], A[r][k]
-        d = A[k][k]
-        if d > 0:
+        e = A[k][k]
+        if e > 0:
             n_plus += 1
         else:
             n_minus += 1
         v = A[k]
         rest = range(k + 1, n)
         support = [(c, v[c]) for c in rest if v[c]]
-        scale, sign = abs(d), (1 if d > 0 else -1)
+        scale, sign = abs(e), (1 if e > 0 else -1)
         for i in rest:
             row = A[i]
             if scale != 1:

@@ -101,6 +101,7 @@ class PlanarSurface:
     r: int
 
     def __post_init__(self):
+        _refuse_non_integers((self.r,), "boundary count parameter r")
         if self.r < 0:
             raise ValueError("boundary count parameter r must be >= 0")
 
@@ -164,6 +165,7 @@ class TorusBoundarySpace:
     r: int
 
     def __post_init__(self):
+        _refuse_non_integers((self.r,), "boundary count parameter r")
         if self.r < 0:
             raise ValueError("boundary count parameter r must be >= 0")
 

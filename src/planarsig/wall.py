@@ -95,7 +95,7 @@ def wall_correction(triple: WallTriple) -> WallCorrection:
     ]
 
     # Decompose each -A_i as b' + c', b' in L0, c' in L+.
-    generators = RationalMatrix._from_rows(n, [(1, row) for row in l0._rows + lp._rows])
+    generators = RationalMatrix._from_rows(n, 1, l0._rows + lp._rows)
     solutions = solve_many(generators.transpose(), [[-x for x in A] for _, A in dense])
     b_parts: list[tuple[int, list[int]]] = []
     for (s, _), sol in zip(dense, solutions):
@@ -111,19 +111,20 @@ def wall_correction(triple: WallTriple) -> WallCorrection:
                 B[j] += c * x
         b_parts.append((s * t, B))
 
-    # Row i of Psi over s_i T, T the lcm of the s_j t_j, has the integer
-    # entries Q(A_i, B_j) T / (s_j t_j).
+    # Psi over S T, S the lcm of the s_i and T of the s_j t_j, has the
+    # integer entries Q(A_i, B_j) (S / s_i) (T / (s_j t_j)).
     pair = triple.space.pair
-    common = lcm(*(st for st, _ in b_parts))
+    S = lcm(*(s for s, _ in dense))
+    T = lcm(*(st for st, _ in b_parts))
     rows = []
     for s, A in dense:
         row = {}
         for k, (st, B) in enumerate(b_parts):
             q = pair(A, B).numerator
             if q:
-                row[k] = q * (common // st)
-        rows.append((s * common, row))
-    psi = RationalMatrix._from_rows(reps.dim, rows)
+                row[k] = q * (S // s) * (T // st)
+        rows.append(row)
+    psi = RationalMatrix._from_rows(reps.dim, S * T, rows)
     # Psi is square, so the only ValueError symmetric_signature raises
     # is its own check that Psi is exactly symmetric.
     try:
@@ -203,7 +204,7 @@ def mapping_torus_boundary_map(
             for i, y in enumerate(col):
                 if y:
                     rows[i][k] = y
-    matrix = RationalMatrix._from_rows(space.dim, [(1, row) for row in rows])
+    matrix = RationalMatrix._from_rows(space.dim, 1, rows)
     return MappingTorusBoundaryMap(r=r, matrix=matrix)
 
 
@@ -274,6 +275,8 @@ def psi_gram_closed_form(r: int, vectors: Sequence[Sequence[int]]) -> RationalMa
 
     Equals V^T * V where the rows of V are the cycle class vectors;
     positive semidefinite of rank equal to the span of the cycles.
+    ``vectors`` are checked as in ``mapping_torus_boundary_map``.
     """
+    _check_vectors(r, vectors)
     V = RationalMatrix(vectors, n_cols=r)
     return V.transpose() @ V

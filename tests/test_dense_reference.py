@@ -775,3 +775,26 @@ def test_wall_correction_matches_dense_psi_off_coordinate_subspaces(r):
         columns = Subspace(z.dim, moved[1]).basis
         assert any(sum(1 for x in col if x) > 1 for col in columns)
         assert check_psi(z, moved).correction == standard.correction
+
+
+@pytest.mark.parametrize("r", [1, 3, 5])
+def test_wall_correction_matches_dense_psi_on_indefinite_triples(r):
+    # Each of L-, L0 and L+ is moved by its own two transvections, so
+    # each stays isotropic but the triple is no longer the standard one,
+    # and Psi can take negative values: the inertia's negative pivots
+    # then run on a real Psi.
+    rng = random.Random(500 + r)
+    corrections = []
+    for _ in range(4):
+        m = rng.randint(1, 3 * r)
+        classes = [[rng.choice((-1, 0, 1)) for _ in range(r)] for _ in range(m)]
+        z, generators = standard_generators(r, classes)
+        moved = []
+        for gens in generators:
+            for _ in range(2):
+                v = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(z.dim)]
+                t = transvection(v)
+                gens = [t(x) for x in gens]
+            moved.append(gens)
+        corrections.append(check_psi(z, moved).correction.as_tuple())
+    assert any(n_minus > 0 for _, n_minus, _ in corrections), corrections

@@ -94,8 +94,9 @@ class TestRationalMatrix:
         assert M.transpose().shape == (2, 3)
 
     def test_repr(self):
-        # Ints, Fractions, a string, negatives and zeros; the last row is
-        # stored over 6, so its entries are printed in lowest terms.
+        # Ints, Fractions, a string, negatives and zeros; the matrix is
+        # stored over one denominator, and each entry is printed in
+        # lowest terms.
         M = RationalMatrix(
             [
                 [1, Fraction(-2, 3), 0],
@@ -133,6 +134,19 @@ class TestRationalMatrix:
     def test_exact_fractions(self):
         M = RationalMatrix([["1/3", "1/6"]])
         assert M @ RationalMatrix([[1], [2]]) == RationalMatrix([[Fraction(2, 3)]])
+
+    def test_product_reduces_its_denominator(self):
+        # 1/2 * 2 = 1: the product is the identity, stored as integers.
+        half = RationalMatrix([[Fraction(1, 2), 0], [0, 1]])
+        product = half @ RationalMatrix([[2, 0], [0, 1]])
+        assert product == RationalMatrix(identity_grid(2))
+        assert hash(product) == hash(RationalMatrix(identity_grid(2)))
+
+    def test_transpose_of_rows_with_different_denominators(self):
+        M = RationalMatrix([[Fraction(1, 2), 3], [1, 1]])
+        expected = RationalMatrix([[Fraction(1, 2), 1], [3, 1]])
+        assert M.transpose() == expected
+        assert hash(M.transpose()) == hash(expected)
 
 
 class TestRank:
@@ -383,6 +397,15 @@ class TestSymmetricSignature:
             symmetric_signature(RationalMatrix([[1, 2, 3]]))
         with pytest.raises(ValueError):
             symmetric_signature(RationalMatrix([[0, 1], [2, 0]]))
+
+    def test_rows_with_different_denominators(self):
+        with pytest.raises(ValueError):
+            symmetric_signature(RationalMatrix([[1, Fraction(1, 2)], [Fraction(1, 3), 1]]))
+        S = RationalMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 5]])
+        assert symmetric_signature(S) == SignatureTriple(2, 0, 0)
+        # A zero diagonal over a denominator: the off-diagonal pivot path.
+        S = RationalMatrix([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
+        assert symmetric_signature(S) == SignatureTriple(1, 1, 0)
 
     def _rand_symmetric(self, rng, n, lo=-4, hi=4):
         grid = [[0] * n for _ in range(n)]

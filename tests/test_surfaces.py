@@ -3,13 +3,23 @@ from itertools import chain, combinations
 
 import pytest
 
-from planarsig.linalg import Subspace
+from planarsig.linalg import RationalMatrix, Subspace
 from planarsig.surfaces import CurveClass, PlanarSurface, TorusBoundarySpace
 
 
 def proper_subsets(r):
     indices = range(r + 1)
     return chain.from_iterable(combinations(indices, k) for k in range(1, r + 1))
+
+
+@pytest.mark.parametrize("construct", [
+    lambda: RationalMatrix([], n_cols=-1),
+    lambda: TorusBoundarySpace(1.5),
+    lambda: PlanarSurface(True),
+], ids=["negative-columns", "fractional-r", "bool-r"])
+def test_malformed_sizes_are_refused(construct):
+    with pytest.raises(ValueError):
+        construct()
 
 
 class TestCurveClass:

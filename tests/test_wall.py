@@ -158,7 +158,8 @@ class TestBoundaryMap:
         assert forced.matrix.shape == (3, 6)
 
 
-@pytest.mark.parametrize("build", [mapping_torus_boundary_map, lplus_closed_form],
+@pytest.mark.parametrize("build",
+                         [mapping_torus_boundary_map, lplus_closed_form, psi_gram_closed_form],
                          ids=lambda f: f.__name__)
 @pytest.mark.parametrize("vectors", [
     [[1]],
