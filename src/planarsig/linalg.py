@@ -46,6 +46,14 @@ _ZERO = Fraction(0)
 _EXACT = {int, Fraction}
 
 
+def _refuse_non_integers(entries: Sequence, what: str) -> None:
+    """Raise ValueError, naming the first entry that is not an int;
+    bools are refused too."""
+    for x in entries:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"{what} {x!r} is not an integer")
+
+
 def refuse_floats(*vectors: Sequence) -> None:
     """Raise TypeError, naming the first float entry, if there is one.
 
@@ -178,8 +186,10 @@ class RationalMatrix:
     __slots__ = ("n_rows", "n_cols", "_den", "_rows")
 
     def __init__(self, rows: Iterable[Iterable], n_cols: int | None = None):
-        if n_cols is not None and n_cols < 0:
-            raise ValueError("column count must be nonnegative")
+        if n_cols is not None:
+            _refuse_non_integers((n_cols,), "column count")
+            if n_cols < 0:
+                raise ValueError("column count must be nonnegative")
         data = [vector(row) for row in rows]
         if data:
             widths = {len(row) for row in data}
@@ -503,6 +513,7 @@ class Subspace:
     __slots__ = ("ambient_dim", "_pivots", "_rows")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence] = ()):
+        _refuse_non_integers((ambient_dim,), "ambient dimension")
         if ambient_dim < 0:
             raise ValueError("ambient dimension must be nonnegative")
         work = []

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import Subspace, refuse_floats
+from .linalg import Subspace, _refuse_non_integers, refuse_floats
 
 
 class NonAllowableCycleError(ValueError):
@@ -86,12 +86,6 @@ class CurveClass:
 
     def negated(self) -> "CurveClass":
         return CurveClass(self.encloses, self.coefficients, -self.sign)
-
-
-def _refuse_non_integers(entries: Sequence, what: str) -> None:
-    for x in entries:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ValueError(f"{what} {x!r} is not an integer")
 
 
 @dataclass(frozen=True)

@@ -28,12 +28,13 @@ from .linalg import (
     RationalMatrix,
     SignatureTriple,
     Subspace,
+    _refuse_non_integers,
     integer_row,
     quotient_basis,
     solve_many,
     symmetric_signature,
 )
-from .surfaces import TorusBoundarySpace, _refuse_non_integers
+from .surfaces import TorusBoundarySpace
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planarsig import fibration, properties, wall
 from planarsig.cli import DocumentError, _matrix_strings, load_document, main
 from planarsig.fibration import PlanarFibration
 from planarsig.linalg import RationalMatrix, Subspace
-from planarsig.properties import CHECK_NAMES, check_fibration
+from planarsig.properties import CHECK_NAMES, check_fibration, random_fibration
 from planarsig.surfaces import CurveClass, PlanarSurface
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -533,6 +534,64 @@ class TestFuzz:
         fib = PlanarFibration(PlanarSurface(2), [CurveClass.enclosing({1})])
         results = check_fibration(fib, random.Random(0))
         assert [c.name for c in results] == CHECK_NAMES
+
+    def test_wall_route_runs_once_per_instance(self, monkeypatch):
+        # The order and sign checks compare boundary maps, so neither the
+        # permuted nor the flipped copy runs the Wall route again.
+        calls = {"standard_triple": 0, "wall_correction": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(wall, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            for module in (properties, fibration):
+                monkeypatch.setattr(module, name, counted)
+        rng = random.Random(17)
+        checked = 0
+        while checked < 5:
+            fib = random_fibration(rng, 6, 25)
+            if fib.m == 0:
+                continue
+            results = check_fibration(fib, rng)
+            assert [c.name for c in results] == CHECK_NAMES
+            assert all(c.passed for c in results)
+            checked += 1
+            assert calls == {"standard_triple": checked, "wall_correction": checked}
+
+    @pytest.mark.parametrize(
+        "mutant, check",
+        [
+            (lambda vectors: vectors[:-1], "order-invariance"),
+            (
+                lambda vectors: (vectors[0], *vectors)
+                if vectors and next(x for x in vectors[0] if x) > 0
+                else vectors,
+                "sign-invariance",
+            ),
+        ],
+        ids=["drop-last-cycle", "double-positive-first-cycle"],
+    )
+    def test_invariance_checks_fail_order_and_sign_dependent_maps(
+        self, monkeypatch, mutant, check
+    ):
+        # A boundary map that depends on the cycle order (the last cycle
+        # dropped) or on a cycle's sign (the first cycle counted twice
+        # when its first nonzero entry is positive) must fail the check
+        # that perturbs it.  A check that compared only Wall corrections
+        # would pass the second mutant on every one of these instances.
+        real = fibration.mapping_torus_boundary_map
+        monkeypatch.setattr(
+            fibration,
+            "mapping_torus_boundary_map",
+            lambda r, vectors: real(r, mutant(tuple(vectors))),
+        )
+        rng = random.Random(3)
+        failed = 0
+        for _ in range(50):
+            fib = random_fibration(rng, 6, 25)
+            results = {c.name: c.passed for c in check_fibration(fib, rng)}
+            failed += not results.get(check, True)
+        assert failed > 0
 
 
 class TestEntryPoint:

@@ -16,7 +16,14 @@ def proper_subsets(r):
     lambda: RationalMatrix([], n_cols=-1),
     lambda: TorusBoundarySpace(1.5),
     lambda: PlanarSurface(True),
-], ids=["negative-columns", "fractional-r", "bool-r"])
+    lambda: Subspace(True, [[1]]),
+    lambda: Subspace(2.5, []),
+    lambda: RationalMatrix([], n_cols=2.0),
+    lambda: RationalMatrix([], n_cols=True),
+], ids=[
+    "negative-columns", "fractional-r", "bool-r", "bool-ambient-dim",
+    "fractional-ambient-dim", "fractional-columns", "bool-columns",
+])
 def test_malformed_sizes_are_refused(construct):
     with pytest.raises(ValueError):
         construct()
