@@ -123,9 +123,10 @@ class FibrationDocument:
                 curve = CurveClass.enclosing(raw)
                 if len(curve.encloses) != len(raw):
                     raise ValueError("indices must be distinct")
-            return surface.canonical_curve(curve)
+            surface.class_vector(curve)
         except ValueError as e:
             raise DocumentError(str(e), field=field) from None
+        return curve
 
     def to_fibration(self, force: bool = False) -> PlanarFibration:
         return PlanarFibration(
@@ -133,14 +134,14 @@ class FibrationDocument:
         )
 
     def echo(self) -> dict:
-        """The document as JSON: enclosed sets sorted, explicit classes
-        with their sign applied.  The cycles are canonical (enclosed
-        sets never contain circle 0), as ``from_obj`` and
-        ``document_for`` build them."""
+        """The document as JSON, in a normal form: an enclosed set that
+        holds circle 0 is written as its complement, which describes the
+        same unoriented curve, and enclosed sets are sorted."""
+        circles = frozenset(range(self.boundary_components))
         cycles = [
-            {"encloses": sorted(c.encloses)}
-            if c.encloses is not None
-            else {"class": [c.sign * x for x in c.coefficients]}
+            {"class": list(c.coefficients)}
+            if c.encloses is None
+            else {"encloses": sorted(circles - c.encloses if 0 in c.encloses else c.encloses)}
             for c in self.cycles
         ]
         return {
@@ -163,10 +164,10 @@ def load_document(text: str) -> FibrationDocument:
 
 
 def document_for(fib: PlanarFibration) -> FibrationDocument:
-    """The document of a fibration, its cycles canonicalized once."""
+    """The document of a fibration."""
     return FibrationDocument(
         boundary_components=fib.surface.r + 1,
-        cycles=[fib.surface.canonical_curve(c) for c in fib.cycles],
+        cycles=list(fib.cycles),
         force=fib.force,
     )
 

@@ -9,9 +9,10 @@ The order and sign checks compare boundary maps, not Wall corrections.
 On a planar fiber the intersection form on H_1 vanishes, so the Dehn
 twists commute on homology and T_{-gamma} = T_gamma: the boundary map,
 the only input of the Wall route, must not change when the cycles are
-permuted or one is negated.  Equal maps give equal corrections, so the
-Wall route runs once per instance, and a map that depends on order or
-sign fails even where its correction happens to agree.
+permuted or one is given by its opposite class.  Equal maps give equal
+corrections, so the Wall route runs once per instance, and a map that
+depends on order or sign fails even where its correction happens to
+agree.
 """
 
 from __future__ import annotations
@@ -127,11 +128,9 @@ def check_fibration(fib: PlanarFibration, rng: random.Random) -> list[CheckResul
             "boundary map or report changed under cycle permutation",
         )
         flip = rng.randrange(m)
-        flipped = PlanarFibration(
-            surface,
-            [c.negated() if i == flip else c for i, c in enumerate(fib.cycles)],
-            fib.force,
-        )
+        cycles = list(fib.cycles)
+        cycles[flip] = CurveClass.explicit([-x for x in vectors[flip]])
+        flipped = PlanarFibration(surface, cycles, fib.force)
         add(
             "sign-invariance",
             flipped.boundary_map().matrix == bmap.matrix,

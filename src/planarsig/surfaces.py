@@ -49,21 +49,18 @@ class CurveClass:
     iterable of ints (bools and every other type are refused), and is
     stored as a frozenset or a tuple.  An enclosed set must be nonempty;
     whether the curve fits a given surface (index range, proper subset,
-    coefficient count) is checked by ``PlanarSurface``.  ``sign``
-    records an orientation flip picked up by canonicalization (the
-    enclosed-set description of a curve has no preferred orientation;
-    no exported invariant depends on it).
+    coefficient count) is checked by ``PlanarSurface``.  Curves are
+    unoriented: a vanishing cycle enters only through its Dehn twist
+    and the span of the classes, so a class vector counts up to sign,
+    and a set and its complement describe the same curve.
     """
 
     encloses: frozenset[int] | None = None
     coefficients: tuple[int, ...] | None = None
-    sign: int = 1
 
     def __post_init__(self):
         if (self.encloses is None) == (self.coefficients is None):
             raise ValueError("give exactly one of encloses / coefficients")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
         if self.encloses is not None:
             # Checked before hashing: {1, True} would collapse to {1}.
             indices = tuple(self.encloses)
@@ -84,9 +81,6 @@ class CurveClass:
     def explicit(cls, coefficients: Sequence[int]) -> "CurveClass":
         return cls(coefficients=coefficients)
 
-    def negated(self) -> "CurveClass":
-        return CurveClass(self.encloses, self.coefficients, -self.sign)
-
 
 @dataclass(frozen=True)
 class PlanarSurface:
@@ -99,15 +93,18 @@ class PlanarSurface:
         if self.r < 0:
             raise ValueError("boundary count parameter r must be >= 0")
 
-    def _check_curve(self, curve: CurveClass) -> None:
-        """Raise ValueError unless the curve lies on this surface: one
-        coefficient per circle 1..r, or a proper subset of 0..r."""
+    def class_vector(self, curve: CurveClass) -> tuple[int, ...]:
+        """Homology vector of a curve in the basis (m_1, ..., m_r).
+
+        Raises ValueError unless the curve lies on this surface: one
+        coefficient per circle 1..r, or a proper subset of 0..r.
+        """
         if curve.coefficients is not None:
             if len(curve.coefficients) != self.r:
                 raise ValueError(
                     f"coefficient vector of length {len(curve.coefficients)}, expected {self.r}"
                 )
-            return
+            return curve.coefficients
         bad = [i for i in curve.encloses if not 0 <= i <= self.r]
         if bad:
             raise ValueError(f"enclosed index {min(bad)} out of range 0..{self.r}")
@@ -116,36 +113,17 @@ class PlanarSurface:
                 "curve enclosing every boundary circle is null-homologous; "
                 "the enclosed set must be a proper subset"
             )
-
-    def class_vector(self, curve: CurveClass) -> tuple[int, ...]:
-        """Homology vector of a curve in the basis (m_1, ..., m_r)."""
-        self._check_curve(curve)
-        if curve.coefficients is not None:
-            return tuple(curve.sign * c for c in curve.coefficients)
         # Circle i >= 1 has class m_i and circle 0 has -(m_1 + ... + m_r),
         # so a set holding 0 sums to minus the circles 1..r it leaves out.
-        sign = curve.sign
         if 0 in curve.encloses:
-            v = [-sign] * self.r
+            v = [-1] * self.r
             for i in curve.encloses - {0}:
                 v[i - 1] = 0
         else:
             v = [0] * self.r
             for i in curve.encloses:
-                v[i - 1] = sign
+                v[i - 1] = 1
         return tuple(v)
-
-    def canonical_curve(self, curve: CurveClass) -> CurveClass:
-        """Normal form: enclosed sets never contain circle 0.
-
-        When the given set contains 0 it is replaced by its complement,
-        which represents the opposite orientation, so the sign flips.
-        """
-        self._check_curve(curve)
-        if curve.encloses is None or 0 not in curve.encloses:
-            return curve
-        complement = frozenset(range(self.r + 1)) - curve.encloses
-        return CurveClass(encloses=complement, sign=-curve.sign)
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,7 +191,7 @@ class TorusBoundarySpace:
         zero.  R J R^T is accumulated row by row through a map from each
         coordinate to the (row, entry) pairs of the rows before: the
         m_i entry of a row pairs with the l_i entries seen so far, and
-        its l_i entry, negated, with the m_i entries.  Only products of
+        minus its l_i entry with the m_i entries.  Only products of
         two nonzero entries are formed, so rows with no partner
         coordinates (a coordinate subspace) cost nothing, and the check
         stops at the first row with a nonzero pairing.  Q(u, u) = 0 by

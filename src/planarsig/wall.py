@@ -64,14 +64,13 @@ class WallTriple:
 class WallCorrection:
     """Output of the correction computation.
 
-    ``representatives`` spans the chosen quotient representatives, its
-    canonical basis; ``psi`` is the Gram matrix of the induced form on
-    them, ``correction`` its inertia triple and ``defect`` its signature
-    (the term subtracted when gluing).
+    ``psi`` is the Gram matrix of the induced form on the quotient
+    representatives (the canonical basis of their span, ``w_dim`` of
+    them), ``correction`` its inertia triple and ``defect`` its
+    signature (the term subtracted when gluing).
     """
 
     w_dim: int
-    representatives: Subspace
     psi: RationalMatrix
     correction: SignatureTriple
     defect: int
@@ -137,7 +136,6 @@ def wall_correction(triple: WallTriple) -> WallCorrection:
         ) from None
     return WallCorrection(
         w_dim=reps.dim,
-        representatives=reps,
         psi=psi,
         correction=correction,
         defect=correction.signature,

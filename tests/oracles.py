@@ -18,6 +18,10 @@ intersections come from a stacked kernel, as they were before the
 package read both off a single elimination.  ``psi_dense`` rebuilds
 Wall's form Psi from these references alone.  The package must agree
 with them value for value.
+
+``kashiwara_dense`` is a second route to Wall's term that follows none
+of the package's steps: no meets, no quotient and no decomposition,
+only the pairing and one inertia.
 """
 
 from fractions import Fraction
@@ -288,3 +292,29 @@ def psi_dense(l_minus, l_zero, l_plus, n):
         )
     psi = [[pair_dense(a, b) for b in b_parts] for a in reps]
     return len(reps), psi, inertia_dense(psi)
+
+
+def kashiwara_dense(l1, l2, l3):
+    """Kashiwara's index of the isotropic subspaces spanned by the
+    generator lists ``l1``, ``l2`` and ``l3``: the signature of the
+    quadratic form Q(x1, x2) + Q(x2, x3) + Q(x3, x1) on L1 x L2 x L3.
+
+    On bases of the three, its Gram matrix has zero diagonal blocks,
+    Q(u, v) / 2 for u in L_k and v in the next subspace (L1 follows L3),
+    and the transpose of that block below the diagonal.  The index is
+    cyclic, changes sign under a transposition, and on Lagrangian
+    triples equals minus Wall's correction term (Lion and Vergne 1980;
+    Cappell, Lee and Miller 1994).
+    """
+    basis = [(k, u) for k, gens in enumerate((l1, l2, l3)) for u in rref_dense(gens)]
+
+    def entry(k, u, j, v):
+        if j == (k + 1) % 3:
+            return pair_dense(u, v) / 2
+        if k == (j + 1) % 3:
+            return pair_dense(v, u) / 2
+        return Fraction(0)
+
+    gram = [[entry(k, u, j, v) for j, v in basis] for k, u in basis]
+    n_plus, n_minus, _ = inertia_dense(gram)
+    return n_plus - n_minus

@@ -8,6 +8,7 @@ import json
 import pathlib
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -31,6 +32,7 @@ from planarsig.wall import WallTriple, mapping_torus_boundary_map, wall_correcti
 from oracles import (
     echelonize_dense,
     inertia_dense,
+    kashiwara_dense,
     kernel_dense,
     meet_dense,
     pair_dense,
@@ -756,6 +758,15 @@ def transvection(v):
     return lambda x: [a + pair_dense(x, v) * b for a, b in zip(x, v)]
 
 
+def moved(rng, gens):
+    """``gens`` moved by two random rational transvections."""
+    for _ in range(2):
+        v = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(len(gens[0]))]
+        t = transvection(v)
+        gens = [t(x) for x in gens]
+    return gens
+
+
 @pytest.mark.parametrize("r", [1, 3, 5])
 def test_wall_correction_matches_dense_psi_off_coordinate_subspaces(r):
     # Transvections move L- and L0 off the coordinate subspaces, so the
@@ -789,12 +800,36 @@ def test_wall_correction_matches_dense_psi_on_indefinite_triples(r):
         m = rng.randint(1, 3 * r)
         classes = [[rng.choice((-1, 0, 1)) for _ in range(r)] for _ in range(m)]
         z, generators = standard_generators(r, classes)
-        moved = []
-        for gens in generators:
-            for _ in range(2):
-                v = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(z.dim)]
-                t = transvection(v)
-                gens = [t(x) for x in gens]
-            moved.append(gens)
-        corrections.append(check_psi(z, moved).correction.as_tuple())
+        generators = [moved(rng, gens) for gens in generators]
+        corrections.append(check_psi(z, generators).correction.as_tuple())
     assert any(n_minus > 0 for _, n_minus, _ in corrections), corrections
+
+
+def parity(order):
+    """+1 for an even permutation of (0, 1, 2), -1 for a transposition."""
+    return 1 if order in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
+
+
+@pytest.mark.parametrize("move", [False, True], ids=["standard", "moved"])
+def test_wall_defect_is_minus_kashiwara_index(move):
+    # Kashiwara's index checks Wall's method, where psi_dense repeats
+    # its steps.  On standard triples of random fibrations, and on the
+    # same triples with each subspace moved by transvections of its own,
+    # the defect must equal minus the index, and like the index it must
+    # be cyclic and change sign under a transposition.
+    rng = random.Random(600)
+    corrections = []
+    for _ in range(16):
+        fib = random_fibration(rng, 6, 12)
+        z, generators = standard_generators(fib.surface.r, fib.class_vectors())
+        if move:
+            generators = [moved(rng, gens) for gens in generators]
+        subspaces = [Subspace(z.dim, gens) for gens in generators]
+        base = wall_correction(WallTriple(z, *subspaces))
+        corrections.append(base.correction.as_tuple())
+        assert kashiwara_dense(*generators) == -base.defect
+        for order in permutations(range(3)):
+            got = wall_correction(WallTriple(z, *(subspaces[i] for i in order)))
+            assert got.defect == parity(order) * base.defect
+    if move:
+        assert any(n_minus > 0 for _, n_minus, _ in corrections), corrections

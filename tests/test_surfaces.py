@@ -60,11 +60,6 @@ class TestCurveClass:
         assert CurveClass.explicit([3, -1]).coefficients == (3, -1)
         assert CurveClass.enclosing([2, 1]).encloses == frozenset({1, 2})
 
-    def test_negation_flips_sign(self):
-        c = CurveClass.enclosing({1, 2})
-        assert c.negated().sign == -1
-        assert c.negated().negated() == c
-
 
 class TestClassVector:
     def test_boundary_parallel(self):
@@ -116,40 +111,6 @@ class TestClassVector:
                 CurveClass.enclosing(set())
             with pytest.raises(ValueError):
                 s.class_vector(CurveClass.enclosing(range(r + 1)))
-
-
-class TestCanonicalCurve:
-    def test_canonical_excludes_zero_and_preserves_class(self):
-        s = PlanarSurface(3)
-        c = CurveClass.enclosing({0, 1})
-        canon = s.canonical_curve(c)
-        assert canon.encloses == frozenset({2, 3})
-        assert canon.sign == -1
-        assert s.class_vector(canon) == s.class_vector(c)
-
-    @pytest.mark.parametrize(
-        "curve",
-        [
-            CurveClass.enclosing({3}),
-            CurveClass.enclosing({-1}),
-            CurveClass.enclosing({0, 1, 2}),
-            CurveClass.explicit([1]),
-        ],
-    )
-    def test_rejects_what_class_vector_rejects(self, curve):
-        s = PlanarSurface(2)
-        with pytest.raises(ValueError) as from_vector:
-            s.class_vector(curve)
-        with pytest.raises(ValueError) as from_canonical:
-            s.canonical_curve(curve)
-        assert str(from_canonical.value) == str(from_vector.value)
-
-    def test_idempotent(self):
-        s = PlanarSurface(4)
-        for subset in proper_subsets(4):
-            once = s.canonical_curve(CurveClass.enclosing(subset))
-            assert 0 not in once.encloses
-            assert s.canonical_curve(once) == once
 
 
 class TestTorusBoundarySpace:

@@ -315,12 +315,20 @@ class TestInvariance:
             assert other.correction == base.correction
 
     def test_cycle_sign_irrelevant(self):
+        # Curves are unoriented: cycle k given by its negated class
+        # vector, or by the complement of its enclosed set, is the same
+        # curve, and L+ and the correction stay put.
         rng = random.Random(149)
         for _ in range(10):
             r = rng.randint(1, 4)
             cs = curves(*(random_proper_subset(rng, r) for _ in range(rng.randint(1, 6))))
-            base = wall_correction(triple_of(r, cs))
+            base = triple_of(r, cs)
             k = rng.randrange(len(cs))
-            flipped = [c.negated() if i == k else c for i, c in enumerate(cs)]
-            other = wall_correction(triple_of(r, flipped))
-            assert other.defect == base.defect
+            negated = CurveClass.explicit([-x for x in PlanarSurface(r).class_vector(cs[k])])
+            complement = CurveClass.enclosing(frozenset(range(r + 1)) - cs[k].encloses)
+            assert class_vectors(r, [complement]) == class_vectors(r, [negated])
+            for curve in (negated, complement):
+                flipped = cs[:k] + [curve] + cs[k + 1 :]
+                other = triple_of(r, flipped)
+                assert other.l_plus == base.l_plus
+                assert wall_correction(other) == wall_correction(base)
