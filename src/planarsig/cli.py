@@ -64,15 +64,12 @@ class DocumentError(ValueError):
 
 @dataclass
 class FibrationDocument:
-    """Parsed and validated input document."""
+    """Parsed input document, with the surface its cycles were
+    validated against."""
 
-    boundary_components: int
+    surface: PlanarSurface
     cycles: list[CurveClass]
     force: bool = False
-
-    @property
-    def r(self) -> int:
-        return self.boundary_components - 1
 
     @classmethod
     def from_obj(cls, obj) -> "FibrationDocument":
@@ -100,7 +97,7 @@ class FibrationDocument:
         force = obj.get("force_non_allowable", False)
         if not isinstance(force, bool):
             raise DocumentError("must be a boolean", field="force_non_allowable")
-        return cls(boundary_components=n, cycles=cycles, force=force)
+        return cls(surface=surface, cycles=cycles, force=force)
 
     @staticmethod
     def _parse_cycle(item, index: int, surface: PlanarSurface) -> CurveClass:
@@ -121,23 +118,19 @@ class FibrationDocument:
                 curve = CurveClass.explicit(raw)
             else:
                 curve = CurveClass.enclosing(raw)
-                if len(curve.encloses) != len(raw):
-                    raise ValueError("indices must be distinct")
             surface.class_vector(curve)
         except ValueError as e:
             raise DocumentError(str(e), field=field) from None
         return curve
 
     def to_fibration(self, force: bool = False) -> PlanarFibration:
-        return PlanarFibration(
-            PlanarSurface(self.r), self.cycles, force=self.force or force
-        )
+        return PlanarFibration(self.surface, self.cycles, force=self.force or force)
 
     def echo(self) -> dict:
         """The document as JSON, in a normal form: an enclosed set that
         holds circle 0 is written as its complement, which describes the
         same unoriented curve, and enclosed sets are sorted."""
-        circles = frozenset(range(self.boundary_components))
+        circles = frozenset(range(self.surface.r + 1))
         cycles = [
             {"class": list(c.coefficients)}
             if c.encloses is None
@@ -145,7 +138,7 @@ class FibrationDocument:
             for c in self.cycles
         ]
         return {
-            "boundary_components": self.boundary_components,
+            "boundary_components": self.surface.r + 1,
             "vanishing_cycles": cycles,
             "force_non_allowable": self.force,
         }
@@ -165,11 +158,7 @@ def load_document(text: str) -> FibrationDocument:
 
 def document_for(fib: PlanarFibration) -> FibrationDocument:
     """The document of a fibration."""
-    return FibrationDocument(
-        boundary_components=fib.surface.r + 1,
-        cycles=list(fib.cycles),
-        force=fib.force,
-    )
+    return FibrationDocument(surface=fib.surface, cycles=list(fib.cycles), force=fib.force)
 
 
 def _matrix_strings(M: RationalMatrix, field: str) -> list[list[str]]:
@@ -260,11 +249,10 @@ def cmd_compute(args) -> int:
         return EXIT_INVALID
     try:
         doc = load_document(text)
+        report = assemble_report(doc, doc.to_fibration(force=args.force))
     except DocumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    try:
-        fib = doc.to_fibration(force=args.force)
     except NonAllowableCycleError as e:
         print(
             f"error: vanishing_cycles[{e.index}] is null-homologous on the fiber; "
@@ -272,11 +260,6 @@ def cmd_compute(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NON_ALLOWABLE
-    try:
-        report = assemble_report(doc, fib)
-    except DocumentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
     if args.format == "table":
         _print(render_table(report))
     else:

@@ -39,9 +39,9 @@ class PlanarFibration:
 
     The cycle order is part of the data (it records the circular order
     of critical values) but no exported invariant depends on it.
-    Null-homologous cycles are rejected unless ``force`` is set.  The
-    cycles' class vectors are computed and checked once, here, and
-    every invariant is derived from them.
+    Null-homologous cycles are rejected unless ``force``, which must be
+    a bool, is True.  The cycles' class vectors are computed and
+    checked once, here, and every invariant is derived from them.
     """
 
     surface: PlanarSurface
@@ -52,7 +52,9 @@ class PlanarFibration:
     def __init__(self, surface: PlanarSurface, cycles=(), force: bool = False):
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "cycles", tuple(cycles))
-        object.__setattr__(self, "force", bool(force))
+        if not isinstance(force, bool):
+            raise ValueError(f"force must be a bool, not {force!r}")
+        object.__setattr__(self, "force", force)
         # class_vector validates each curve's shape and range.
         vectors = tuple(surface.class_vector(c) for c in self.cycles)
         if not self.force:

@@ -23,13 +23,13 @@ back substitution of rows for the canonical rows of spans, kernels and
 meets, and ``solve_many`` back substitution of values.
 
 Entries cross the edge by one rule each way.  ``vector`` coerces what
-comes in: ``RationalMatrix(...)``, ``Subspace(...)``, ``in`` and
-``solve_many`` take their entries through it, so ints and Fractions go
-on as they are, floats are refused, and anything else (a rational
-string, a Decimal, a bool) becomes a Fraction.  What goes out is
-Fractions, built from the integer rows on each read: ``M[i, j]``,
-``Subspace.basis``, the solutions of ``solve_many``, and
-``TorusBoundarySpace.pair`` in ``surfaces``.
+comes in: ``RationalMatrix(...)``, ``Subspace(...)``, ``in``,
+``solve_many`` and ``TorusBoundarySpace.pair`` in ``surfaces`` take
+their entries through it, so ints and Fractions go on as they are,
+floats are refused, and anything else (a rational string, a Decimal, a
+bool) becomes a Fraction.  What goes out is Fractions, built from the
+integer rows on each read: ``M[i, j]``, ``Subspace.basis``, the
+solutions of ``solve_many``, and ``pair``.
 """
 
 from __future__ import annotations
@@ -54,28 +54,15 @@ def _refuse_non_integers(entries: Sequence, what: str) -> None:
             raise ValueError(f"{what} {x!r} is not an integer")
 
 
-def refuse_floats(*vectors: Sequence) -> None:
-    """Raise TypeError, naming the first float entry, if there is one.
-
-    Checks entry types without coercing or copying anything, for hot
-    paths whose callers already hold exact entries; ``vector`` raises
-    through it too.
-    """
-    kinds: set[type] = set()
-    for w in vectors:
-        kinds.update(map(type, w))
-    if any(issubclass(k, float) for k in kinds):
-        x = next(x for w in vectors for x in w if isinstance(x, float))
-        raise TypeError(f"refusing float {x!r}: pass int, Fraction or a rational string")
-
-
 def vector(entries: Iterable) -> tuple:
-    """Coerce an iterable of exact numbers, the one entry coercion of
-    the package: ints and Fractions come back as they are, floats are
-    refused, and any other value becomes a Fraction."""
+    """Coerce an iterable of exact numbers, the one entry check of the
+    package: ints and Fractions come back as they are, a float raises
+    TypeError naming it, and any other value becomes a Fraction."""
     v = tuple(entries)
     if not set(map(type, v)) <= _EXACT:
-        refuse_floats(v)
+        for x in v:
+            if isinstance(x, float):
+                raise TypeError(f"refusing float {x!r}: pass int, Fraction or a rational string")
         v = tuple(x if type(x) in _EXACT else Fraction(x) for x in v)
     return v
 

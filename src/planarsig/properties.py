@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from .linalg import SignatureTriple, Subspace, symmetric_signature
 from .surfaces import CurveClass, PlanarSurface
 from .fibration import NEGATIVE_DEFINITE, ZERO_FORM, PlanarFibration
-from .wall import lplus_closed_form, psi_gram_closed_form, standard_triple, wall_correction
+from .wall import lplus_closed_form, mapping_torus_boundary_map, psi_gram_closed_form
+from .wall import standard_triple, wall_correction
 
 
 @dataclass(frozen=True)
@@ -128,12 +129,11 @@ def check_fibration(fib: PlanarFibration, rng: random.Random) -> list[CheckResul
             "boundary map or report changed under cycle permutation",
         )
         flip = rng.randrange(m)
-        cycles = list(fib.cycles)
-        cycles[flip] = CurveClass.explicit([-x for x in vectors[flip]])
-        flipped = PlanarFibration(surface, cycles, fib.force)
+        flipped = list(vectors)
+        flipped[flip] = [-x for x in vectors[flip]]
         add(
             "sign-invariance",
-            flipped.boundary_map().matrix == bmap.matrix,
+            mapping_torus_boundary_map(r, flipped).matrix == bmap.matrix,
             f"boundary map changed when negating cycle {flip}",
         )
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import Subspace, _refuse_non_integers, refuse_floats
+from .linalg import Subspace, _refuse_non_integers, vector
 
 
 class NonAllowableCycleError(ValueError):
@@ -47,12 +47,13 @@ class CurveClass:
 
     Exactly one of ``encloses`` / ``coefficients`` is set, from any
     iterable of ints (bools and every other type are refused), and is
-    stored as a frozenset or a tuple.  An enclosed set must be nonempty;
-    whether the curve fits a given surface (index range, proper subset,
-    coefficient count) is checked by ``PlanarSurface``.  Curves are
-    unoriented: a vanishing cycle enters only through its Dehn twist
-    and the span of the classes, so a class vector counts up to sign,
-    and a set and its complement describe the same curve.
+    stored as a frozenset or a tuple.  An enclosed set must be nonempty
+    and name each circle once (a repeated index raises "indices must be
+    distinct"); whether the curve fits a given surface (index range,
+    proper subset, coefficient count) is checked by ``PlanarSurface``.
+    Curves are unoriented: a vanishing cycle enters only through its
+    Dehn twist and the span of the classes, so a class vector counts up
+    to sign, and a set and its complement describe the same curve.
     """
 
     encloses: frozenset[int] | None = None
@@ -67,7 +68,10 @@ class CurveClass:
             _refuse_non_integers(indices, "enclosed index")
             if not indices:
                 raise ValueError("enclosed set must be nonempty")
-            object.__setattr__(self, "encloses", frozenset(indices))
+            encloses = frozenset(indices)
+            if len(encloses) != len(indices):
+                raise ValueError("indices must be distinct")
+            object.__setattr__(self, "encloses", encloses)
         else:
             coefficients = tuple(self.coefficients)
             _refuse_non_integers(coefficients, "coefficient")
@@ -82,6 +86,13 @@ class CurveClass:
         return cls(coefficients=coefficients)
 
 
+def _check_r(r) -> None:
+    """Refuse a boundary count parameter r that is not an int >= 0."""
+    _refuse_non_integers((r,), "boundary count parameter r")
+    if r < 0:
+        raise ValueError("boundary count parameter r must be >= 0")
+
+
 @dataclass(frozen=True)
 class PlanarSurface:
     """Genus-zero surface with r+1 boundary circles (r >= 0)."""
@@ -89,9 +100,7 @@ class PlanarSurface:
     r: int
 
     def __post_init__(self):
-        _refuse_non_integers((self.r,), "boundary count parameter r")
-        if self.r < 0:
-            raise ValueError("boundary count parameter r must be >= 0")
+        _check_r(self.r)
 
     def class_vector(self, curve: CurveClass) -> tuple[int, ...]:
         """Homology vector of a curve in the basis (m_1, ..., m_r).
@@ -137,9 +146,7 @@ class TorusBoundarySpace:
     r: int
 
     def __post_init__(self):
-        _refuse_non_integers((self.r,), "boundary count parameter r")
-        if self.r < 0:
-            raise ValueError("boundary count parameter r must be >= 0")
+        _check_r(self.r)
 
     @property
     def dim(self) -> int:
@@ -160,14 +167,15 @@ class TorusBoundarySpace:
     def pair(self, u: Sequence, v: Sequence) -> Fraction:
         """Intersection pairing Q(u, v); skew so Q(u, v) = -Q(v, u).
 
-        Entries may be ints or Fractions; floats are refused.  Only
+        Both vectors come in through ``vector``, so entries may be ints,
+        Fractions or rational strings, and floats are refused.  Only
         the products of two nonzero entries are summed, in ints when
         the entries are ints, and the sum becomes a Fraction once, on
         return.
         """
+        u, v = vector(u), vector(v)
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError(f"vectors must have length {self.dim}")
-        refuse_floats(u, v)
         total = 0
         for i in range(0, self.dim, 2):
             a = u[i]

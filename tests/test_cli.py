@@ -164,6 +164,13 @@ class TestCompute:
         out = capsys.readouterr().out
         assert out == (GOLDEN / f"{name}_report.json").read_text()
 
+    def test_table_matches_golden_file(self, capsys, feed_stdin):
+        # The table layout, byte for byte, with Psi's fractions in it.
+        feed_stdin((GOLDEN / "large_r16_m80.json").read_text())
+        assert main(["compute", "-", "--format", "table"]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / "large_r16_m80_table.txt").read_text()
+
     def test_report_digest_at_scale(self, capsys, feed_stdin):
         # fibration_document(Random(7), 40, 200) of benchmarks/workloads.py:
         # r = 40 reaches integers far larger than the benchmark sizes do.
@@ -524,7 +531,7 @@ class TestFuzz:
         # orientation of cycles whose enclosed set held circle 0.
         r, vectors = seen[1]
         doc = load_document(json.dumps(failure["document"]))
-        assert doc.r == r
+        assert doc.surface.r == r
         reloaded = doc.to_fibration().class_vectors()
         assert len(reloaded) == len(vectors)
         for v, w in zip(reloaded, vectors):

@@ -635,12 +635,24 @@ def test_pair_refuses_floats(u, v):
         lambda: vector([Fraction(1), 0.5]),
         lambda: [0.5, 0] in Subspace(2, [[1, 0]]),
         lambda: solve_many(RationalMatrix([[1, 0], [0, 1]]), [[1, 2], [0, 0.5]]),
+        lambda: TorusBoundarySpace(1).pair([1, 0, 0, 0], [0, 1.5, 0, 0]),
     ],
-    ids=["matrix", "subspace", "vector-after-a-fraction", "membership", "solve-rhs"],
+    ids=["matrix", "subspace", "vector-after-a-fraction", "membership", "solve-rhs", "pair"],
 )
 def test_public_constructors_refuse_floats(construct):
     with pytest.raises(TypeError, match="refusing float"):
         construct()
+
+
+def test_public_constructors_accept_rational_strings():
+    # Every entry point takes its entries through ``vector``, so a
+    # rational string counts as the Fraction it names.
+    half = Fraction(1, 2)
+    assert RationalMatrix([["1/2", 0]])[0, 0] == half
+    assert Subspace(2, [["1/2", 1]]).basis == ((1, 2),)
+    assert ["1/2", 1] in Subspace(2, [[1, 2]])
+    assert solve_many(RationalMatrix([[2, 0], [0, 1]]), [["1/2", 0]]) == [(Fraction(1, 4), 0)]
+    assert TorusBoundarySpace(1).pair(["1/2", 0, 0, 0], [0, 2, 0, 0]) == 1
 
 
 def far_apart(z, meridians, x):

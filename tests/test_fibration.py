@@ -28,6 +28,12 @@ class TestConstruction:
         with pytest.raises(NonAllowableCycleError):
             PlanarFibration(PlanarSurface(2), [CurveClass.explicit([0, 0])])
 
+    @pytest.mark.parametrize("force", ["no", 0, 1, None])
+    def test_force_must_be_a_bool(self, force):
+        # force="no" is truthy, and must not let a null-homologous cycle through.
+        with pytest.raises(ValueError, match="force must be a bool"):
+            PlanarFibration(PlanarSurface(2), [CurveClass.explicit([0, 0])], force=force)
+
     def test_force_accepts_and_marks(self):
         f = PlanarFibration(PlanarSurface(2), [CurveClass.explicit([0, 0])], force=True)
         assert not f.allowable

@@ -41,6 +41,15 @@ class TestCurveClass:
             CurveClass.enclosing(set())
 
     @pytest.mark.parametrize(
+        "make",
+        [lambda: CurveClass.enclosing([1, 1]), lambda: CurveClass(encloses=(2, 2, 3))],
+        ids=["enclosing", "encloses-tuple"],
+    )
+    def test_repeated_indices_rejected(self, make):
+        with pytest.raises(ValueError, match="indices must be distinct"):
+            make()
+
+    @pytest.mark.parametrize(
         "make, entries",
         [
             (CurveClass.explicit, [1.5, 0]),
