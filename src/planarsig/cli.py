@@ -43,7 +43,6 @@ from .fibration import (
 from .linalg import RationalMatrix
 from .properties import CHECK_NAMES, CheckResult, check_fibration, random_fibration
 from .surfaces import CurveClass, NonAllowableCycleError, PlanarSurface
-from .wall import standard_triple, wall_correction
 
 SCHEMA_VERSION = "1"
 
@@ -175,9 +174,8 @@ def _matrix_strings(M: RationalMatrix, field: str) -> list[list[str]]:
 
 
 def assemble_report(doc: FibrationDocument, fib: PlanarFibration) -> dict:
-    bmap = fib.boundary_map()
-    wc = wall_correction(standard_triple(bmap))
-    report = fib.betti_report(wall=wc)
+    report = fib.betti_report()
+    wc = report.wall
     return {
         "schema_version": SCHEMA_VERSION,
         "input": doc.echo(),
@@ -198,7 +196,7 @@ def assemble_report(doc: FibrationDocument, fib: PlanarFibration) -> dict:
             "psi_matrix": _matrix_strings(wc.psi, "wall.psi_matrix"),
             "correction_triple": list(wc.correction.as_tuple()),
         },
-        "boundary_map": _matrix_strings(bmap.matrix, "boundary_map"),
+        "boundary_map": _matrix_strings(report.boundary_map.matrix, "boundary_map"),
     }
 
 
@@ -237,6 +235,17 @@ def render_table(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _finish(text: str, bug: str) -> int:
+    """Print a report command's ``text``; a nonempty ``bug`` names a
+    disagreement the program should never reach, and is reported with
+    exit code 4."""
+    _print(text)
+    if bug:
+        print(f"error: {bug}; this is a bug", file=sys.stderr)
+        return EXIT_ORACLE_DISAGREEMENT
+    return EXIT_OK
+
+
 def cmd_compute(args) -> int:
     try:
         if args.file == "-":
@@ -260,17 +269,9 @@ def cmd_compute(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NON_ALLOWABLE
-    if args.format == "table":
-        _print(render_table(report))
-    else:
-        _print(json.dumps(report, indent=2))
-    if not report["oracle_agrees"]:
-        print(
-            "error: the two signature computations disagree; this is a bug",
-            file=sys.stderr,
-        )
-        return EXIT_ORACLE_DISAGREEMENT
-    return EXIT_OK
+    text = render_table(report) if args.format == "table" else json.dumps(report, indent=2)
+    bug = "" if report["oracle_agrees"] else "the two signature computations disagree"
+    return _finish(text, bug)
 
 
 def cmd_examples(args) -> int:
@@ -281,31 +282,24 @@ def cmd_examples(args) -> int:
         fib, expected = family_y1(args.r), expected_sigma_y1(args.r)
     else:
         fib, expected = family_y2(args.r), expected_sigma_y2(args.r)
-    doc = document_for(fib)
-    report = assemble_report(doc, fib)
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "family": args.family,
-        "r": args.r,
-        "expected_sigma": expected,
-        "document": doc.echo(),
-        "report": report,
-    }
+    report = assemble_report(document_for(fib), fib)
     if args.format == "table":
-        _print(
+        text = (
             f"family {args.family}, r = {args.r}, expected signature {expected}\n"
             + render_table(report)
         )
     else:
-        _print(json.dumps(out, indent=2))
-    if report["sigma"] != expected or not report["oracle_agrees"]:
-        print(
-            "error: computed report contradicts the family's closed form; "
-            "this is a bug",
-            file=sys.stderr,
-        )
-        return EXIT_ORACLE_DISAGREEMENT
-    return EXIT_OK
+        out = {
+            "schema_version": SCHEMA_VERSION,
+            "family": args.family,
+            "r": args.r,
+            "expected_sigma": expected,
+            "document": report["input"],
+            "report": report,
+        }
+        text = json.dumps(out, indent=2)
+    ok = report["sigma"] == expected and report["oracle_agrees"]
+    return _finish(text, "" if ok else "computed report contradicts the family's closed form")
 
 
 def cmd_fuzz(args) -> int:

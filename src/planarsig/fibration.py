@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .linalg import RationalMatrix, SignatureTriple
+from .linalg import RationalMatrix, SignatureTriple, _refuse_non_integers
 from .surfaces import CurveClass, NonAllowableCycleError, PlanarSurface
 from .wall import (
     MappingTorusBoundaryMap,
@@ -88,36 +88,27 @@ class PlanarFibration:
     def boundary_map(self) -> MappingTorusBoundaryMap:
         return mapping_torus_boundary_map(self.surface.r, self._vectors)
 
-    def wall_correction(self) -> WallCorrection:
-        return wall_correction(standard_triple(self.boundary_map()))
+    def betti_report(self) -> "InvariantsReport":
+        """All exported invariants, from both signature routes, each run once.
 
-    def signature_wall_oracle(self) -> int:
-        """Signature recomputed through the gluing correction.
-
-        The closed-up total space has signature -m (it is a blow-up of
-        a sphere bundle, one blow-up per cycle) and the capping piece
-        has signature 0, so the fibration's signature is -m plus the
-        correction term of the standard triple.
+        The closed form gives -m + d.  The gluing route builds the
+        boundary map and the correction of its standard triple: the
+        closed-up total space has signature -m (it is a blow-up of a
+        sphere bundle, one blow-up per cycle) and the capping piece has
+        signature 0, so the fibration's signature is -m plus the
+        correction term.  The report keeps the map and the correction.
         """
-        return -self.m + self.wall_correction().defect
-
-    def betti_report(self, wall: WallCorrection | None = None) -> "InvariantsReport":
-        """All exported invariants, with the two signature paths compared."""
-        m = self.m
-        r = self.surface.r
-        d = self.cycle_span_dim()
-        sigma = -m + d
-        b1 = r - d
-        b2 = m - d
-        if wall is None:
-            wall = self.wall_correction()
+        m, r, d = self.m, self.surface.r, self.cycle_span_dim()
+        sigma, b2 = -m + d, m - d
+        bmap = self.boundary_map()
+        wall = wall_correction(standard_triple(bmap))
         oracle_sigma = -m + wall.defect
         return InvariantsReport(
             m=m,
             r=r,
             d=d,
             sigma=sigma,
-            b1=b1,
+            b1=r - d,
             b2=b2,
             euler=1 - r + m,
             definiteness=NEGATIVE_DEFINITE if b2 > 0 else ZERO_FORM,
@@ -125,6 +116,8 @@ class PlanarFibration:
             oracle_sigma=oracle_sigma,
             oracle_agrees=oracle_sigma == sigma,
             allowable=self.allowable,
+            boundary_map=bmap,
+            wall=wall,
         )
 
 
@@ -136,7 +129,8 @@ class InvariantsReport:
     is the inertia triple of the intersection form on second homology,
     which is always (0, b2, 0): negative definite, or zero when b2 = 0.
     ``oracle_sigma`` comes from the independent gluing pipeline and
-    must equal ``sigma`` on every valid input.
+    must equal ``sigma`` on every valid input; ``boundary_map`` and
+    ``wall`` are that pipeline's boundary map and correction.
     """
 
     m: int
@@ -151,6 +145,8 @@ class InvariantsReport:
     oracle_sigma: int
     oracle_agrees: bool
     allowable: bool
+    boundary_map: MappingTorusBoundaryMap
+    wall: WallCorrection
 
 
 def family_y1(r: int) -> PlanarFibration:
@@ -162,6 +158,7 @@ def family_y1(r: int) -> PlanarFibration:
     cycle spans only one dimension and the closed form for the span
     breaks down.
     """
+    _refuse_non_integers((r,), "family parameter r")
     if r < 2:
         raise ValueError("family y1 requires r >= 2")
     surface = PlanarSurface(r + 1)
@@ -171,6 +168,7 @@ def family_y1(r: int) -> PlanarFibration:
 
 def expected_sigma_y1(r: int) -> int:
     """Closed-form signature -(r-2)(r+1)/2 of ``family_y1(r)``."""
+    _refuse_non_integers((r,), "family parameter r")
     return -(r - 2) * (r + 1) // 2
 
 
@@ -182,6 +180,7 @@ def family_y2(r: int) -> PlanarFibration:
     signature -r^2 + r + 1.  Shares its boundary map with family y1 at
     equal r (the two monodromies agree) while the signatures differ.
     """
+    _refuse_non_integers((r,), "family parameter r")
     if r < 2:
         raise ValueError("family y2 requires r >= 2")
     surface = PlanarSurface(r + 1)
@@ -193,4 +192,5 @@ def family_y2(r: int) -> PlanarFibration:
 
 def expected_sigma_y2(r: int) -> int:
     """Closed-form signature -r^2 + r + 1 of ``family_y2(r)``."""
+    _refuse_non_integers((r,), "family parameter r")
     return -r * r + r + 1

@@ -161,6 +161,9 @@ class TorusBoundarySpace:
         return 2 * i + 1
 
     def _check_torus(self, i: int) -> None:
+        """Refuse an index that is not an int in 0..r; bools are refused."""
+        if type(i) is not int:
+            _refuse_non_integers((i,), "torus index")
         if not 0 <= i <= self.r:
             raise ValueError(f"torus index {i} out of range 0..{self.r}")
 

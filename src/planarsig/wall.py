@@ -64,12 +64,14 @@ class WallTriple:
 class WallCorrection:
     """Output of the correction computation.
 
-    ``psi`` is the Gram matrix of the induced form on the quotient
-    representatives (the canonical basis of their span, ``w_dim`` of
-    them), ``correction`` its inertia triple and ``defect`` its
-    signature (the term subtracted when gluing).
+    ``triple`` is the triple corrected.  ``psi`` is the Gram matrix of
+    the induced form on the quotient representatives (the canonical
+    basis of their span, ``w_dim`` of them), ``correction`` its inertia
+    triple and ``defect`` its signature (the term subtracted when
+    gluing).
     """
 
+    triple: WallTriple
     w_dim: int
     psi: RationalMatrix
     correction: SignatureTriple
@@ -135,6 +137,7 @@ def wall_correction(triple: WallTriple) -> WallCorrection:
             "the well-definedness hypotheses"
         ) from None
     return WallCorrection(
+        triple=triple,
         w_dim=reps.dim,
         psi=psi,
         correction=correction,

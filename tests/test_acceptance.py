@@ -28,7 +28,7 @@ from planarsig.fibration import (
 from planarsig.linalg import RationalMatrix, SignatureTriple, symmetric_signature
 from planarsig.properties import random_proper_subset
 from planarsig.surfaces import CurveClass, PlanarSurface
-from planarsig.wall import WallCorrection, lplus_closed_form, lplus_kernel
+from planarsig.wall import WallCorrection, lplus_closed_form
 
 CORPUS_SEED = 20170801
 RANDOM_INSTANCES = 1000
@@ -45,16 +45,16 @@ class Instance:
 
 
 def _evaluate(fibration: PlanarFibration) -> Instance:
-    wall = fibration.wall_correction()
+    report = fibration.betti_report()
     matches = lplus_closed_form(
         fibration.surface.r, fibration.class_vectors()
-    ) == lplus_kernel(fibration.boundary_map())
+    ) == report.wall.triple.l_plus
     return Instance(
         fibration=fibration,
-        d=fibration.cycle_span_dim(),
-        wall=wall,
+        d=report.d,
+        wall=report.wall,
         closed_form_matches_kernel=matches,
-        report=fibration.betti_report(wall=wall),
+        report=report,
     )
 
 
@@ -99,7 +99,7 @@ def test_pair_family_signatures_both_paths():
     for r, sigma in expected.items():
         f = family_y1(r)
         assert f.signature_from_cycle_span() == sigma == expected_sigma_y1(r)
-        assert f.signature_wall_oracle() == sigma
+        assert f.betti_report().oracle_sigma == sigma
     print("PASS: family y1 signatures match -(r-2)(r+1)/2 for r = 2..8, both paths")
 
 
@@ -108,7 +108,7 @@ def test_parallel_family_signatures_both_paths():
     for r, sigma in expected.items():
         f = family_y2(r)
         assert f.signature_from_cycle_span() == sigma == expected_sigma_y2(r)
-        assert f.signature_wall_oracle() == sigma
+        assert f.betti_report().oracle_sigma == sigma
     print("PASS: family y2 signatures match -r^2+r+1 for r = 2..8, both paths")
 
 

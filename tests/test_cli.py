@@ -544,17 +544,17 @@ class TestFuzz:
         results = check_fibration(fib, random.Random(0))
         assert [c.name for c in results] == CHECK_NAMES
 
-    def test_wall_route_runs_once_per_instance(self, monkeypatch):
+    def test_wall_route_runs_once_per_instance(self, monkeypatch, capsys, feed_stdin):
         # The order and sign checks compare boundary maps, so neither the
-        # permuted nor the flipped copy runs the Wall route again.
+        # permuted nor the flipped copy runs the Wall route again, and
+        # compute and examples read it from the one report they build.
         calls = {"standard_triple": 0, "wall_correction": 0}
         for name in calls:
             def counted(*args, _real=getattr(wall, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
 
-            for module in (properties, fibration):
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(fibration, name, counted)
         rng = random.Random(17)
         checked = 0
         while checked < 5:
@@ -566,34 +566,54 @@ class TestFuzz:
             assert all(c.passed for c in results)
             checked += 1
             assert calls == {"standard_triple": checked, "wall_correction": checked}
+        feed_stdin(THREE_CYCLES_DOC)
+        for argv in (["compute", "-"], ["examples", "--family", "y1", "--r", "3"]):
+            assert main(argv) == 0
+            checked += 1
+            assert calls == {"standard_triple": checked, "wall_correction": checked}
+        capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "mutant, check",
+        "owner, name, mutant, check",
         [
-            (lambda vectors: vectors[:-1], "order-invariance"),
             (
-                lambda vectors: (vectors[0], *vectors)
-                if vectors and next(x for x in vectors[0] if x) > 0
-                else vectors,
+                fibration,
+                "mapping_torus_boundary_map",
+                lambda real: lambda r, vectors: real(r, tuple(vectors)[:-1]),
+                "order-invariance",
+            ),
+            (
+                fibration,
+                "mapping_torus_boundary_map",
+                lambda real: lambda r, vectors: real(
+                    r,
+                    (vectors[0], *vectors)
+                    if vectors and next(x for x in vectors[0] if x) > 0
+                    else vectors,
+                ),
                 "sign-invariance",
             ),
+            (
+                PlanarFibration,
+                "cycle_span_dim",
+                lambda real: lambda self: real(self)
+                + any(1 in c.encloses for c in self.cycles[:1]),
+                "order-invariance",
+            ),
         ],
-        ids=["drop-last-cycle", "double-positive-first-cycle"],
+        ids=["drop-last-cycle", "double-positive-first-cycle", "span-dim-of-first-cycle"],
     )
     def test_invariance_checks_fail_order_and_sign_dependent_maps(
-        self, monkeypatch, mutant, check
+        self, monkeypatch, owner, name, mutant, check
     ):
         # A boundary map that depends on the cycle order (the last cycle
         # dropped) or on a cycle's sign (the first cycle counted twice
-        # when its first nonzero entry is positive) must fail the check
-        # that perturbs it.  A check that compared only Wall corrections
-        # would pass the second mutant on every one of these instances.
-        real = fibration.mapping_torus_boundary_map
-        monkeypatch.setattr(
-            fibration,
-            "mapping_torus_boundary_map",
-            lambda r, vectors: real(r, mutant(tuple(vectors))),
-        )
+        # when its first nonzero entry is positive), or a span dimension
+        # that depends on the order (one more when the first cycle
+        # encloses circle 1), must fail the check that perturbs it.  A
+        # check that compared only Wall corrections would pass the
+        # second mutant on every one of these instances.
+        monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
         rng = random.Random(3)
         failed = 0
         for _ in range(50):
@@ -601,6 +621,42 @@ class TestFuzz:
             results = {c.name: c.passed for c in check_fibration(fib, rng)}
             failed += not results.get(check, True)
         assert failed > 0
+
+
+class TestBugExit:
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize(
+        "argv, stdin, message",
+        [
+            (["compute", "-"], THREE_CYCLES_DOC, "the two signature computations disagree"),
+            (
+                ["examples", "--family", "y1", "--r", "3"],
+                None,
+                "computed report contradicts the family's closed form",
+            ),
+        ],
+        ids=["compute", "examples"],
+    )
+    def test_disagreement_prints_the_report_and_exits_four(
+        self, capsys, feed_stdin, monkeypatch, argv, stdin, message, fmt
+    ):
+        # A closed form that is off by one disagrees with the Wall route.
+        real = PlanarFibration.cycle_span_dim
+        monkeypatch.setattr(PlanarFibration, "cycle_span_dim", lambda self: real(self) + 1)
+        feed_stdin(stdin or "")
+        assert main([*argv, "--format", fmt]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}; this is a bug\n"
+        if fmt == "json":
+            out = json.loads(captured.out)
+            report = out.get("report", out)
+            assert report["oracle_agrees"] is False
+            assert report["sigma"] == report["oracle_sigma"] + 1
+            assert "boundary_map" in report
+        else:
+            assert "oracle agrees              False\n" in captured.out
+            assert captured.out.rstrip("\n").splitlines()[-1].startswith("  ")
+            assert "boundary map:\n" in captured.out
 
 
 class TestEntryPoint:

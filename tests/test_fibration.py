@@ -6,6 +6,8 @@ from planarsig.fibration import (
     NEGATIVE_DEFINITE,
     ZERO_FORM,
     PlanarFibration,
+    expected_sigma_y1,
+    expected_sigma_y2,
     family_y1,
     family_y2,
 )
@@ -80,17 +82,17 @@ class TestCycleMatrix:
 class TestSignature:
     def test_no_cycles(self):
         assert fib(3).signature_from_cycle_span() == 0
-        assert fib(3).signature_wall_oracle() == 0
+        assert fib(3).betti_report().oracle_sigma == 0
 
     def test_single_cycle(self):
         f = fib(3, {1})
         assert f.signature_from_cycle_span() == 0
-        assert f.signature_wall_oracle() == 0
+        assert f.betti_report().oracle_sigma == 0
 
     def test_three_cycles_agree(self):
         f = fib(2, *THREE_CYCLES)
         assert f.signature_from_cycle_span() == -1
-        assert f.signature_wall_oracle() == -1
+        assert f.betti_report().oracle_sigma == -1
 
     def test_random_instances_agree(self):
         rng = random.Random(211)
@@ -101,7 +103,7 @@ class TestSignature:
                 for _ in range(rng.randint(0, 10))
             ]
             f = PlanarFibration(PlanarSurface(r), cycles)
-            assert f.signature_from_cycle_span() == f.signature_wall_oracle()
+            assert f.signature_from_cycle_span() == f.betti_report().oracle_sigma
 
     def test_nonpositive_and_zero_iff_independent(self):
         rng = random.Random(223)
@@ -197,6 +199,12 @@ class TestFamilies:
                 family_y1(bad)
             with pytest.raises(ValueError):
                 family_y2(bad)
+        # Checked before the range, so 3.0 is named as given, not as r + 1.
+        for bad in (2.5, 3.0, True):
+            for helper in (family_y1, family_y2, expected_sigma_y1, expected_sigma_y2):
+                with pytest.raises(ValueError) as exc:
+                    helper(bad)
+                assert str(exc.value) == f"family parameter r {bad!r} is not an integer"
 
     def test_pair_family_counts(self):
         for r in range(2, 9):

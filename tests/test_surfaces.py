@@ -130,6 +130,23 @@ class TestTorusBoundarySpace:
         assert z.l_index(0) == 1
         assert z.m_index(2) == 4
 
+    @pytest.mark.parametrize(
+        "index, message",
+        [
+            (1.5, "torus index 1.5 is not an integer"),
+            (True, "torus index True is not an integer"),
+            (-1, "torus index -1 out of range 0..2"),
+            (3, "torus index 3 out of range 0..2"),
+        ],
+        ids=["float", "bool", "negative", "past-r"],
+    )
+    def test_bad_indices_rejected(self, index, message):
+        z = TorusBoundarySpace(2)
+        for method in (z.m_index, z.l_index):
+            with pytest.raises(ValueError) as exc:
+                method(index)
+            assert str(exc.value) == message
+
     def test_value_semantics(self):
         assert TorusBoundarySpace(2) == TorusBoundarySpace(2)
         assert hash(TorusBoundarySpace(2)) == hash(TorusBoundarySpace(2))
