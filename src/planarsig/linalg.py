@@ -28,8 +28,10 @@ comes in: ``RationalMatrix(...)``, ``Subspace(...)``, ``in``,
 their entries through it, so ints and Fractions go on as they are,
 floats are refused, and anything else (a rational string, a Decimal, a
 bool) becomes a Fraction.  What goes out is Fractions, built from the
-integer rows on each read: ``M[i, j]``, ``Subspace.basis``, the
-solutions of ``solve_many``, and ``pair``.
+integer rows on each read: ``M[i, j]``, ``Subspace.basis`` and
+``pair``.  ``solve_many`` is no Fraction reader: it returns each
+solution as integers over their least common denominator, in the form
+``integer_row`` gives, for the Wall route to use as it is.
 """
 
 from __future__ import annotations
@@ -423,22 +425,30 @@ def _null_space(rows: Sequence[dict[int, int]], n_cols: int) -> "Subspace":
     return Subspace._from_rows(n_cols, *_solved_rows(n_cols, pivots, echelon))
 
 
-def solve_many(M: RationalMatrix, rhs: Sequence[Sequence]) -> list[Vector | None]:
+def solve_many(M: RationalMatrix,
+               rhs: Sequence[Sequence]) -> list[tuple[int, dict[int, int]] | None]:
     """Solve Mx = b for each right-hand side, sharing one elimination.
 
     Returns, per b, a solution with all free variables set to zero
-    (under leftmost-pivot echelon form) or None if inconsistent.  The
-    augmented rows are eliminated forward as integer rows with pivots
-    among the columns of M (``_eliminate``).  A system is inconsistent
-    when its column is nonzero in a row left without a pivot.  Otherwise
-    back substitution by value runs bottom-up over the pivot rows: the
-    row of pivot p, with entries a_q and b, gives
+    (under leftmost-pivot echelon form) or None if inconsistent.  A
+    solution x comes as integers over its least common denominator, in
+    the form ``integer_row`` gives: ``(s, {column: s * x})`` over the
+    nonzero entries, s >= 1 and gcd(s, every entry) = 1, so given x it
+    is unique.
+
+    The augmented rows are eliminated forward as integer rows with
+    pivots among the columns of M (``_eliminate``).  A system is
+    inconsistent when its column is nonzero in a row left without a
+    pivot.  Otherwise back substitution by value runs bottom-up over the
+    pivot rows: the row of pivot p, with entries a_q and b, gives
     x_p = (b - sum_q a_q x_q) / a_p over the later pivots q it holds.
     Every x_q is kept as an integer over one common denominator, which
-    grows by the part of a_p that does not divide the new numerator, so
-    the sums stay in integers and one Fraction per entry is made at the
-    end.  The pivot columns and the values at the free columns are
-    fixed, so the solution does not depend on the pivot rows taken.
+    grows by the positive part f of a_p that does not divide the new
+    numerator.  No prime of f divides that numerator, and no prime of
+    the old denominator divides all the old numerators, so the common
+    denominator stays the least one.  The pivot columns and the values
+    at the free columns are fixed, so the solution does not depend on
+    the pivot rows taken.
     """
     targets = [vector(b) for b in rhs]
     for b in targets:
@@ -455,7 +465,7 @@ def solve_many(M: RationalMatrix, rhs: Sequence[Sequence]) -> list[Vector | None
         _divide_content(w)
         work.append(w)
     pivots, rows, rest = _eliminate(work, n)
-    out: list[Vector | None] = []
+    out: list[tuple[int, dict[int, int]] | None] = []
     for col in range(n, n + len(targets)):
         if any(col in row for row in rest):
             out.append(None)
@@ -471,17 +481,14 @@ def solve_many(M: RationalMatrix, rhs: Sequence[Sequence]) -> list[Vector | None
                     total -= a * y
             if total:
                 lead = row[p]
-                g = gcd(total, lead)
+                g = gcd(total, lead) if lead > 0 else -gcd(total, lead)
                 f = lead // g
                 if f != 1:
                     denominator *= f
                     for q in num:
                         num[q] *= f
                 num[p] = total // g
-        x = [_ZERO] * n
-        for p, y in num.items():
-            x[p] = Fraction(y, denominator)
-        out.append(tuple(x))
+        out.append((denominator, num))
     return out
 
 
@@ -646,6 +653,11 @@ def symmetric_signature(S: RationalMatrix) -> SignatureTriple:
     active diagonal is all zero but some off-diagonal entry A[i][j] is
     not, adding row j to row i and column j to column i makes the (i,i)
     entry 2*A[i][j] != 0 and restores a usable pivot.
+
+    The trailing block stays symmetric, so each step updates it, and
+    takes its content, over the upper triangle only.  Only a row and
+    column swap and the zero-diagonal step read the lower triangle;
+    before either, it is copied from the upper one.
     """
     n = S.n_rows
     if n != S.n_cols:
@@ -657,6 +669,13 @@ def symmetric_signature(S: RationalMatrix) -> SignatureTriple:
     k = 0
     while k < n:
         p = next((i for i in range(k, n) if A[i][i]), None)
+        if p != k:
+            # The steps below update the upper triangle only; copy it into
+            # the lower one before rows and columns are moved.
+            for i in range(k + 1, n):
+                row = A[i]
+                for c in range(k, i):
+                    row[c] = A[c][i]
         if p is None:
             spot = next(
                 ((i, j) for i in range(k, n) for j in range(i + 1, n) if A[i][j]),
@@ -680,24 +699,28 @@ def symmetric_signature(S: RationalMatrix) -> SignatureTriple:
         else:
             n_minus += 1
         v = A[k]
-        rest = range(k + 1, n)
-        support = [(c, v[c]) for c in rest if v[c]]
+        support = [(c, v[c]) for c in range(k + 1, n) if v[c]]
         scale, sign = abs(e), (1 if e > 0 else -1)
-        for i in rest:
+        # Row i is kept from column i on.  v[i] is nonzero exactly when i
+        # is the column of support[t], so support[t:] holds the columns
+        # from i on that the update reaches.
+        t = 0
+        content = 0
+        for i in range(k + 1, n):
             row = A[i]
             if scale != 1:
-                for c in rest:
-                    row[c] *= scale
+                row[i:] = [x * scale for x in row[i:]]
             f = v[i]
             if f:
                 f *= sign
-                for c, x in support:
+                for c, x in support[t:]:
                     row[c] -= f * x
-        content = gcd(*(A[i][c] for i in rest for c in rest))
+                t += 1
+            if content != 1:
+                content = gcd(content, *row[i:])
         if content > 1:
-            for i in rest:
+            for i in range(k + 1, n):
                 row = A[i]
-                for c in rest:
-                    row[c] //= content
+                row[i:] = [x // content for x in row[i:]]
         k += 1
     return SignatureTriple(n_plus, n_minus, n - n_plus - n_minus)

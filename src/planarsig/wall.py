@@ -29,7 +29,6 @@ from .linalg import (
     SignatureTriple,
     Subspace,
     _refuse_non_integers,
-    integer_row,
     quotient_basis,
     solve_many,
     symmetric_signature,
@@ -83,8 +82,9 @@ def wall_correction(triple: WallTriple) -> WallCorrection:
 
     Representative i is its integer row A_i over its pivot entry s_i.
     -A_i is decomposed on the integer rows R_k of L0 and L+ taken as
-    columns, -A_i = sum_k y_k R_k, and the L0 terms scaled to integers
-    are B_i / t_i, so the b-part of A_i / s_i is B_i / (s_i t_i) and
+    columns, -A_i = sum_k y_k R_k.  The solve gives the y_k as integers
+    over one denominator t_i, so the L0 terms sum to B_i / t_i, the
+    b-part of A_i / s_i is B_i / (s_i t_i) and
     Psi_ij = Q(A_i, B_j) / (s_i s_j t_j) pairs integers.
     """
     lm, l0, lp = triple.l_minus, triple.l_zero, triple.l_plus
@@ -106,11 +106,12 @@ def wall_correction(triple: WallTriple) -> WallCorrection:
                 "quotient representative failed to decompose inside L0 + L+; "
                 "this cannot happen for a valid triple and indicates a bug"
             )
-        t, ys = integer_row(sol[: l0.dim])
+        t, ys = sol
         B = [0] * n
         for k, c in ys.items():
-            for j, x in l0._rows[k].items():
-                B[j] += c * x
+            if k < l0.dim:
+                for j, x in l0._rows[k].items():
+                    B[j] += c * x
         b_parts.append((s * t, B))
 
     # Psi over S T, S the lcm of the s_i and T of the s_j t_j, has the

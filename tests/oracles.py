@@ -212,6 +212,16 @@ def solve_dense(rows, n_cols, rhs):
     return out
 
 
+def solution_values(solutions, n_cols):
+    """The solutions of ``solve_many``, each ``(s, {column: s * x})`` or
+    None, as tuples of ``n_cols`` Fractions (zero where the dict holds
+    no column), or None: the form ``solve_dense`` returns."""
+    return [
+        None if sol is None else tuple(Fraction(sol[1].get(j, 0), sol[0]) for j in range(n_cols))
+        for sol in solutions
+    ]
+
+
 def inertia_dense(rows):
     """(n_plus, n_minus, n_zero) by congruence, touching every entry."""
     A = [[Fraction(x) for x in row] for row in rows]

@@ -194,11 +194,17 @@ class TestBettiReport:
 
 class TestFamilies:
     def test_small_parameters_rejected(self):
-        for bad in (-1, 0, 1):
-            with pytest.raises(ValueError):
-                family_y1(bad)
-            with pytest.raises(ValueError):
-                family_y2(bad)
+        for bad in (-3, -1, 0, 1):
+            for family, helpers in (
+                ("y1", (family_y1, expected_sigma_y1)),
+                ("y2", (family_y2, expected_sigma_y2)),
+            ):
+                for helper in helpers:
+                    with pytest.raises(ValueError, match=f"^family {family} requires r >= 2$"):
+                        helper(bad)
+        # The smallest family keeps its signatures.
+        assert expected_sigma_y1(2) == 0 == family_y1(2).signature_from_cycle_span()
+        assert expected_sigma_y2(2) == -1 == family_y2(2).signature_from_cycle_span()
         # Checked before the range, so 3.0 is named as given, not as r + 1.
         for bad in (2.5, 3.0, True):
             for helper in (family_y1, family_y2, expected_sigma_y1, expected_sigma_y2):

@@ -1,6 +1,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,15 @@ from planarsig.linalg import (
     vector,
 )
 
-from oracles import inertia_by_descartes, matmul_dense, rank_by_minors, rref_dense
+from oracles import (
+    echelonize_dense,
+    inertia_by_descartes,
+    matmul_dense,
+    rank_by_minors,
+    rref_dense,
+    solution_values,
+    solve_dense,
+)
 
 
 def identity_grid(n):
@@ -341,27 +350,28 @@ class TestQuotientBasis:
 class TestSolve:
     def test_identity(self):
         M = RationalMatrix(identity_grid(3))
-        assert solve_many(M, [[3, -1, 2]])[0] == vector([3, -1, 2])
+        assert solution_values(solve_many(M, [[3, -1, 2]]), 3) == [vector([3, -1, 2])]
 
     def test_inconsistent(self):
         assert solve_many(RationalMatrix([[0, 0], [0, 0]]), [[1, 0]])[0] is None
 
     def test_underdetermined_free_vars_zero(self):
-        assert solve_many(RationalMatrix([[1, 1]]), [[3]])[0] == vector([3, 0])
+        assert solution_values(solve_many(RationalMatrix([[1, 1]]), [[3]]), 2) == [vector([3, 0])]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             solve_many(RationalMatrix(identity_grid(2)), [[1, 2, 3]])
 
     def test_no_equations_gives_zero_solution(self):
-        assert solve_many(RationalMatrix([], n_cols=3), [[]]) == [(0, 0, 0)]
+        solutions = solve_many(RationalMatrix([], n_cols=3), [[]])
+        assert solution_values(solutions, 3) == [(0, 0, 0)]
 
     def test_solutions_verify_and_consistency_matches_rank(self):
         rng = random.Random(29)
         for _ in range(60):
             M = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
             b = [rng.randint(-5, 5) for _ in range(M.n_rows)]
-            x = solve_many(M, [b])[0]
+            x = solution_values(solve_many(M, [b]), M.n_cols)[0]
             augmented = hstack(M, RationalMatrix([b]).transpose())
             consistent = augmented.rank() == M.rank()
             assert (x is not None) == consistent
@@ -370,9 +380,36 @@ class TestSolve:
 
     def test_solve_many_mixed(self):
         M = RationalMatrix([[1, 0], [0, 0]])
-        got = solve_many(M, [[2, 0], [0, 1]])
+        got = solution_values(solve_many(M, [[2, 0], [0, 1]]), 2)
         assert got[0] == vector([2, 0])
         assert got[1] is None
+
+    def test_solutions_are_integers_over_their_least_denominator(self):
+        # The form (s, {column: s * x}) is unique: s >= 1 shares no
+        # factor with every entry, no entry is zero, and the free columns,
+        # where x is zero, hold none.
+        rng = random.Random(31)
+        for _ in range(80):
+            n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
+            grid = [
+                [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) if rng.random() < 0.6 else 0
+                 for _ in range(n_cols)]
+                for _ in range(n_rows)
+            ]
+            x = [Fraction(rng.randint(-5, 5), rng.randint(1, 9)) for _ in range(n_cols)]
+            arbitrary = [Fraction(rng.randint(-5, 5), rng.randint(1, 9)) for _ in range(n_rows)]
+            rhs = [times(grid, x), arbitrary, [0] * n_rows]
+            got = solve_many(RationalMatrix(grid), rhs)
+            assert solution_values(got, n_cols) == solve_dense(grid, n_cols, rhs)
+            pivots = set(echelonize_dense([[Fraction(y) for y in row] for row in grid]))
+            assert got[0] is not None and got[2] == (1, {})
+            for solution in got:
+                if solution is not None:
+                    s, entries = solution
+                    assert type(s) is int and s >= 1
+                    assert all(type(y) is int and y for y in entries.values())
+                    assert gcd(s, *entries.values()) == 1
+                    assert set(entries) <= pivots
 
 
 class TestSymmetricSignature:
@@ -413,6 +450,64 @@ class TestSymmetricSignature:
             for j in range(i, n):
                 grid[i][j] = grid[j][i] = rng.randint(lo, hi)
         return RationalMatrix(grid)
+
+    @staticmethod
+    def _bordered(rng, C, depth):
+        """C bordered by ``depth`` leading pivots of +-1: the grid
+        [[E, V^T], [V, C + V E V^T]] with E diagonal of +-1 entries and V
+        random.  Its first ``depth`` congruence steps take their own
+        diagonal pivots and leave exactly C as the trailing block."""
+        m = len(C)
+        E = [rng.choice((1, -1)) for _ in range(depth)]
+        V = [[rng.randint(-2, 2) for _ in range(depth)] for _ in range(m)]
+        n = depth + m
+        grid = [[0] * n for _ in range(n)]
+        for t in range(depth):
+            grid[t][t] = E[t]
+            for i in range(m):
+                grid[t][depth + i] = grid[depth + i][t] = V[i][t]
+        for i in range(m):
+            for j in range(m):
+                grid[depth + i][depth + j] = C[i][j] + sum(
+                    V[i][t] * E[t] * V[j][t] for t in range(depth)
+                )
+        return grid
+
+    @staticmethod
+    def _symmetric_grid(rng, diagonal):
+        m = len(diagonal)
+        grid = [[0] * m for _ in range(m)]
+        for i in range(m):
+            grid[i][i] = diagonal[i]
+            for j in range(i + 1, m):
+                grid[i][j] = grid[j][i] = rng.randint(-3, 3)
+        return grid
+
+    @pytest.mark.parametrize("depth", (1, 2))
+    def test_swap_after_a_step_against_charpoly_oracle(self, depth):
+        # The trailing block C has a zero first diagonal entry and a
+        # nonzero later one, so step ``depth`` swaps rows and columns
+        # after updates that left the lower triangle behind.
+        rng = random.Random(61 + depth)
+        for _ in range(24):
+            m = rng.randint(2, 6 - depth)
+            diagonal = [0] + [rng.randint(-2, 2) for _ in range(m - 2)] + [rng.choice((-1, 1, 2))]
+            grid = self._bordered(rng, self._symmetric_grid(rng, diagonal), depth)
+            expected = inertia_by_descartes(grid)
+            assert symmetric_signature(RationalMatrix(grid)).as_tuple() == expected
+
+    @pytest.mark.parametrize("depth", (1, 2))
+    def test_zero_diagonal_after_a_step_against_charpoly_oracle(self, depth):
+        # The trailing block C has an all-zero diagonal and a nonzero
+        # entry off it, so step ``depth`` takes the zero-diagonal path.
+        rng = random.Random(71 + depth)
+        for _ in range(24):
+            m = rng.randint(2, 6 - depth)
+            C = self._symmetric_grid(rng, [0] * m)
+            C[0][m - 1] = C[m - 1][0] = rng.choice((-2, -1, 1, 3))
+            grid = self._bordered(rng, C, depth)
+            expected = inertia_by_descartes(grid)
+            assert symmetric_signature(RationalMatrix(grid)).as_tuple() == expected
 
     def test_against_charpoly_oracle(self):
         rng = random.Random(41)
