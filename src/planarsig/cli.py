@@ -31,6 +31,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .fibration import (
@@ -200,6 +201,54 @@ def assemble_report(doc: FibrationDocument, fib: PlanarFibration) -> dict:
     }
 
 
+def _json_text(obj, indent: str = "\n") -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, for dicts with str keys.
+
+    With an indent, ``json.dumps`` runs its pure-Python encoder, one
+    generator step per value, and a report holds a string per entry of
+    the (r + 1) x 2(r + 1) boundary map.  Here a list of strs is joined
+    in one pass when a single ``encode_basestring_ascii`` check over
+    all its items shows that none needs escaping; otherwise each is
+    quoted by it.  A list of ints is written by ``int.__repr__``, as
+    ``json`` does, and so are lone strs and ints.  Any other list or
+    dict is written recursively, and any other value by ``json.dumps``.
+    ``indent`` is the newline and indentation before the closing
+    bracket.
+    """
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        body = ("," + inner).join(
+            f"{encode_basestring_ascii(key)}: {_json_text(value, inner)}"
+            for key, value in obj.items()
+        )
+        return "{" + inner + body + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        comma = "," + inner
+        kinds = set(map(type, obj))
+        if kinds == {str}:
+            text = "".join(obj)
+            if len(encode_basestring_ascii(text)) == len(text) + 2:
+                body = '"' + ('"' + comma + '"').join(obj) + '"'
+            else:
+                body = comma.join(map(encode_basestring_ascii, obj))
+        elif kinds == {int}:
+            body = comma.join(map(int.__repr__, obj))
+        else:
+            body = comma.join(_json_text(x, inner) for x in obj)
+        return "[" + inner + body + indent + "]"
+    return json.dumps(obj)
+
+
 def render_table(report: dict) -> str:
     rows = [
         ("vanishing cycles (m)", report["m"]),
@@ -269,7 +318,7 @@ def cmd_compute(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NON_ALLOWABLE
-    text = render_table(report) if args.format == "table" else json.dumps(report, indent=2)
+    text = render_table(report) if args.format == "table" else _json_text(report)
     bug = "" if report["oracle_agrees"] else "the two signature computations disagree"
     return _finish(text, bug)
 
@@ -297,7 +346,7 @@ def cmd_examples(args) -> int:
             "document": report["input"],
             "report": report,
         }
-        text = json.dumps(out, indent=2)
+        text = _json_text(out)
     ok = report["sigma"] == expected and report["oracle_agrees"]
     return _finish(text, "" if ok else "computed report contradicts the family's closed form")
 
@@ -344,7 +393,7 @@ def cmd_fuzz(args) -> int:
         "failures": failures,
         "ok": not failures,
     }
-    _print(json.dumps(summary, indent=2))
+    _print(_json_text(summary))
     return EXIT_OK if not failures else EXIT_FUZZ_FAILURE
 
 

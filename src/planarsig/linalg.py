@@ -22,6 +22,14 @@ elimination, ``_eliminate``, made of ``_clear`` steps; ``_rref`` adds
 back substitution of rows for the canonical rows of spans, kernels and
 meets, and ``solve_many`` back substitution of values.
 
+Kernels and meets are null spaces (``_null_space``).  A one-entry
+equation pins its column to zero, so pinned columns leave the system
+before it is eliminated; the meridian and longitude subspaces of the
+standard triple are cut out by such equations alone.  A subspace keeps
+the equations it was cut out by, or builds them once when first met,
+so a subspace met several times, or a kernel, whose RREF rows already
+are its equations, does not rebuild them.
+
 Entries cross the edge by one rule each way.  ``vector`` coerces what
 comes in: ``RationalMatrix(...)``, ``Subspace(...)``, ``in``,
 ``solve_many`` and ``TorusBoundarySpace.pair`` in ``surfaces`` take
@@ -278,7 +286,8 @@ class RationalMatrix:
 
     def kernel(self) -> "Subspace":
         """Null space {x : Mx = 0} as a canonical subspace of Q^n_cols,
-        read off one elimination (see ``_null_space``)."""
+        read off one elimination that it keeps as its equations (see
+        ``_null_space``)."""
         return _null_space(self._primitive_rows(), self.n_cols)
 
     def __eq__(self, other) -> bool:
@@ -371,21 +380,22 @@ def _rref(work: list[dict[int, int]], n: int) -> tuple[list[int], list[dict[int,
     return pivots, rows
 
 
-def _solved_rows(n: int, pivots: Sequence[int],
+def _solved_rows(columns: Iterable[int], pivots: Sequence[int],
                  rows: Sequence[dict[int, int]]) -> tuple[list[int], list[dict[int, int]]]:
-    """The non-pivot columns j of Q^n, and for each the primitive
-    integer multiple of e_j - sum_t (rows[t][j] / d_t) e_{p_t}.
+    """The non-pivot columns j among ``columns``, in their order, and for
+    each the primitive integer multiple of
+    e_j - sum_t (rows[t][j] / d_t) e_{p_t}.
 
-    ``rows[t]`` has the entry d_t at its pivot p_t and is zero at every
-    other pivot.  For the canonical rows of a span these are equations
-    whose common null space is the span; for the RREF rows of a matrix
-    they are the kernel's canonical basis, whose pivots are the j.  The
-    multiple taken is L_j times the vector, L_j the lcm of the d_t with
-    rows[t][j] != 0, with its content divided out, so its entry at j
-    stays positive.
+    ``rows[t]`` has the entry d_t at its pivot p_t, is zero at every
+    other pivot, and is zero outside ``columns``.  For the canonical
+    rows of a span these are equations whose common null space is the
+    span; for the RREF rows of a matrix they are the kernel's canonical
+    basis, whose pivots are the j.  The multiple taken is L_j times the
+    vector, L_j the lcm of the d_t with rows[t][j] != 0, with its
+    content divided out, so its entry at j stays positive.
     """
     pivot_set = set(pivots)
-    terms: dict[int, list[tuple[int, int, int]]] = {j: [] for j in range(n) if j not in pivot_set}
+    terms: dict[int, list[tuple[int, int, int]]] = {j: [] for j in columns if j not in pivot_set}
     for p, row in zip(pivots, rows):
         d = row[p]
         for j, x in row.items():
@@ -403,26 +413,43 @@ def _solved_rows(n: int, pivots: Sequence[int],
 
 
 def _null_space(rows: Sequence[dict[int, int]], n_cols: int) -> "Subspace":
-    """Subspace {x : row . x = 0 for every integer row}.
+    """Subspace {x : row . x = 0 for every integer row}, which keeps the
+    equations it was cut out by (see ``Subspace._equations``).  The rows
+    are only read.
 
-    The rows are echelonized with their columns reversed, so each pivot
-    sits as far right as it can: RREF row i is zero right of its pivot
-    p_i and at every other pivot.  The free-variable vector
+    A one-entry row {z: x} pins x_z = 0, so the pinned columns are
+    collected first and the system is solved without them: every other
+    row loses its pinned entries and, if it lost any, has its content
+    divided out again.  A row left empty is skipped by the elimination,
+    and one left with one entry is pivoted by ``_rref``'s singleton
+    rule.  When every column is pinned, no row is left to eliminate.
+
+    The rows left are echelonized with their columns reversed, so each
+    pivot sits as far right as it can: RREF row i is zero right of its
+    pivot p_i and at every other pivot.  The free-variable vector
     e_f - sum_i rref_i[f] e_{p_i} is therefore nonzero only at f and at
     pivots right of f, so its leading entry is at f, and it is zero at
-    every other free column.  Taken in increasing f, these vectors
-    already are the canonical basis (``_solved_rows``); no second
-    elimination is needed.  A one-entry row {j: x}, the equation
-    x_j = 0, is the RREF row e_j in either column order, so ``_rref``
-    pivots it by inspection; e_j adds no term to any free-variable
-    vector.
+    every other free column and at every pinned one.  Taken in
+    increasing f over the columns not pinned, these vectors already are
+    the canonical basis (``_solved_rows``); no second elimination is
+    needed.  The RREF rows and the unit rows of the pinned columns are
+    the equations kept.
     """
+    pinned = {next(iter(row)) for row in rows if len(row) == 1}
     last = n_cols - 1
-    work = [{last - j: x for j, x in row.items()} for row in rows]
+    work = []
+    for row in rows:
+        if len(row) > 1:
+            w = {last - j: x for j, x in row.items() if j not in pinned}
+            if len(w) < len(row):
+                _divide_content(w)
+            work.append(w)
     reversed_pivots, reduced = _rref(work, n_cols)
     pivots = [last - c for c in reversed_pivots]
     echelon = [{last - c: x for c, x in w.items()} for w in reduced]
-    return Subspace._from_rows(n_cols, *_solved_rows(n_cols, pivots, echelon))
+    columns = [j for j in range(n_cols) if j not in pinned]
+    equations = echelon + [{j: 1} for j in pinned]
+    return Subspace._from_rows(n_cols, *_solved_rows(columns, pivots, echelon), equations)
 
 
 def solve_many(M: RationalMatrix,
@@ -502,9 +529,13 @@ class Subspace:
     vectors from the rows on each read.  Sums, intersections and
     membership are all exact and work on the integer rows.  The rows
     are never mutated once the subspace is built.
+
+    ``_eqs`` holds integer rows whose common null space is the
+    subspace, or None until ``_equations`` first needs them.  They are
+    not part of the value: ``==`` and ``hash`` ignore them.
     """
 
-    __slots__ = ("ambient_dim", "_pivots", "_rows")
+    __slots__ = ("ambient_dim", "_pivots", "_rows", "_eqs")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence] = ()):
         _refuse_non_integers((ambient_dim,), "ambient dimension")
@@ -520,15 +551,19 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self._pivots = tuple(pivots)
         self._rows = tuple(rows)
+        self._eqs = None
 
     @classmethod
     def _from_rows(cls, ambient_dim: int, pivots: Sequence[int],
-                   rows: Sequence[dict[int, int]]) -> "Subspace":
-        """Wrap rows that already are canonical."""
+                   rows: Sequence[dict[int, int]],
+                   equations: Sequence[dict[int, int]] | None = None) -> "Subspace":
+        """Wrap rows that already are canonical, with ``equations`` that
+        cut the subspace out if the caller has them."""
         self = cls.__new__(cls)
         self.ambient_dim = ambient_dim
         self._pivots = tuple(pivots)
         self._rows = tuple(rows)
+        self._eqs = None if equations is None else tuple(equations)
         return self
 
     @property
@@ -563,16 +598,21 @@ class Subspace:
         self._check_ambient(other)
         return _null_space(self._equations() + other._equations(), self.ambient_dim)
 
-    def _equations(self) -> list[dict[int, int]]:
-        """Integer rows whose common null space is this subspace.
+    def _equations(self) -> tuple[dict[int, int], ...]:
+        """Integer rows whose common null space is this subspace, built
+        at most once and kept in ``_eqs``; callers only read them.
 
-        With canonical basis vectors b_t and pivots p_t, a vector x lies
-        in the span iff x = sum_t x[p_t] b_t, that is iff
-        x[j] - sum_t b_t[j] x[p_t] = 0 at every non-pivot coordinate j;
-        one row per such j, cleared of denominators (``_solved_rows``).
-        A coordinate subspace gets one-entry rows.
+        A kernel or meet keeps the equations its null space was solved
+        from (see ``_null_space``): the RREF rows and the pinned unit
+        rows.  Otherwise, with canonical basis vectors b_t and pivots
+        p_t, a vector x lies in the span iff x = sum_t x[p_t] b_t, that
+        is iff x[j] - sum_t b_t[j] x[p_t] = 0 at every non-pivot
+        coordinate j; one row per such j, cleared of denominators
+        (``_solved_rows``).  A coordinate subspace gets one-entry rows.
         """
-        return _solved_rows(self.ambient_dim, self._pivots, self._rows)[1]
+        if self._eqs is None:
+            self._eqs = tuple(_solved_rows(range(self.ambient_dim), self._pivots, self._rows)[1])
+        return self._eqs
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:

@@ -3,9 +3,9 @@
 ``benchmarks/layers.py`` wraps package functions by name and requires
 each of them to be called by every op of a workload; a rename or a
 function that a command stops calling makes a traced benchmark run
-fail.  This test runs one small ``compute`` and one small ``fuzz``
-under the tracer so that such a change fails here first.  The
-benchmark directory is only read.
+fail.  This test runs two ``compute`` ops, a small one and one of the
+compute-wide shape, and one small ``fuzz`` under the tracer so that
+such a change fails here first.  The benchmark directory is only read.
 """
 
 import io
@@ -30,16 +30,22 @@ def layers(monkeypatch):
     return layers
 
 
+# On the wide document L- and L0 pin every coordinate, so their meet
+# runs no elimination; the names it wraps must still be called.
+WIDE_DOC = (pathlib.Path(__file__).parent / "golden" / "wide_r32_m2.json").read_text()
+
+
 @pytest.mark.parametrize(
-    "command, argv",
+    "command, argv, document",
     [
-        ("compute", ["compute", "-"]),
-        ("fuzz", ["fuzz", "--seed", "1", "--count", "2", "--max-r", "6", "--max-m", "25"]),
+        ("compute", ["compute", "-"], json.dumps(THREE_CYCLES_DOC)),
+        ("compute", ["compute", "-"], WIDE_DOC),
+        ("fuzz", ["fuzz", "--seed", "1", "--count", "2", "--max-r", "6", "--max-m", "25"], ""),
     ],
-    ids=["compute", "fuzz"],
+    ids=["compute", "compute-wide", "fuzz"],
 )
-def test_every_required_layer_is_called(layers, monkeypatch, capsys, command, argv):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(THREE_CYCLES_DOC)))
+def test_every_required_layer_is_called(layers, monkeypatch, capsys, command, argv, document):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(document))
     tracer = layers.LayerTracer()
     tracer.install()
     try:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planarsig import fibration, properties, wall
-from planarsig.cli import DocumentError, _matrix_strings, load_document, main
+from planarsig.cli import DocumentError, _json_text, _matrix_strings, load_document, main
 from planarsig.fibration import PlanarFibration
 from planarsig.linalg import RationalMatrix, Subspace
 from planarsig.properties import CHECK_NAMES, check_fibration, random_fibration
@@ -211,6 +211,34 @@ class TestMatrixStrings:
         assert _matrix_strings(RationalMatrix([]), "m") == []
         assert _matrix_strings(RationalMatrix([], n_cols=3), "m") == []
         assert _matrix_strings(RationalMatrix([[], []]), "m") == [[], []]
+
+
+# Strings that need escaping, one of them ending in the separator of
+# a joined list, and strings that need none.
+tricky_text = st.text(max_size=4) | st.sampled_from(
+    ['"', "\\", "\n", "\x00\x1f", "é", "\u2028", "😀", '", ', "1/2"]
+)
+report_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | tricky_text,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(tricky_text, max_size=4)
+    | st.lists(st.integers(), max_size=4)
+    | st.dictionaries(tricky_text, children, max_size=4),
+    max_leaves=16,
+)
+
+
+class TestJsonText:
+    """The report writer prints what ``json.dumps(obj, indent=2)`` does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(report_values)
+    def test_equals_indenting_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    def test_lists_of_strings_that_need_escaping(self):
+        for items in (['a", ', "b"], ["x", "\\"], ["é"], ["\t", "ok"], ["", ""]):
+            assert _json_text(items) == json.dumps(items, indent=2)
 
 
 class TestEchoRoundTrip:

@@ -8,7 +8,7 @@ import json
 import pathlib
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd
 
 import pytest
@@ -27,7 +27,12 @@ from planarsig.linalg import (
 from planarsig.cli import load_document
 from planarsig.properties import random_fibration
 from planarsig.surfaces import TorusBoundarySpace
-from planarsig.wall import WallTriple, mapping_torus_boundary_map, wall_correction
+from planarsig.wall import (
+    WallTriple,
+    mapping_torus_boundary_map,
+    standard_triple,
+    wall_correction,
+)
 
 from oracles import (
     echelonize_dense,
@@ -431,6 +436,113 @@ def test_unit_rows_in_spans_kernels_meets_and_sums_match_dense(seed):
     for S, S_gens in ((U, gens), (U + C, gens + c_gens), (U + V, gens + v_gens)):
         assert S == Subspace(n, rref_dense(S_gens))
         assert hash(S) == hash(Subspace(n, rref_dense(S_gens)))
+
+
+def pinned_system(rng, n, pins, rational):
+    """Seeded equations on Q^n with one-entry rows at the columns
+    ``pins``, one of them twice, among rows that dropping those columns
+    leaves with one entry, with none and with several.  With no pins,
+    every row has two entries or more."""
+    others = [j for j in range(n) if j not in pins]
+
+    def row_on(columns):
+        return [nonzero(rng, rational) if j in columns else Fraction(0) for j in range(n)]
+
+    def some(columns):
+        return rng.sample(columns, rng.randint(0, len(columns)))
+
+    rows = [row_on([j]) for j in pins]
+    if pins:
+        rows.append(row_on(pins[:1]))
+        rows.append(row_on(some(pins) + others[:1]))
+        rows.append(row_on(pins[:2]))
+    rows.append(row_on(some(pins) + others[-3:]))
+    rows.append(row_on(rng.sample(range(n), 2)))
+    rng.shuffle(rows)
+    return rows
+
+
+def check_equations(S):
+    """The equations S keeps are primitive integer rows that cut out
+    exactly S, and are built once."""
+    n = S.ambient_dim
+    equations = S._equations()
+    assert all(gcd(*row.values()) == 1 for row in equations)
+    dense = [[Fraction(row.get(j, 0)) for j in range(n)] for row in equations]
+    assert tuple(kernel_dense(dense, n)) == S.basis
+    assert S._equations() is equations
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_pinned_columns_in_kernels_and_meets_match_dense(seed):
+    # A one-entry equation pins its column, which leaves the null space
+    # before any elimination; the rows that lose entries to it must end
+    # as the dense references say.  The three systems pin some columns,
+    # the other columns, and none.  A meet of two kernels solves their
+    # kept equations together, so the meet of the first two pins every
+    # column.
+    rng = random.Random(800 + seed)
+    n = rng.randint(4, 12)
+    rational = seed % 2 == 1
+    columns = rng.sample(range(n), n)
+    cut = rng.randint(1, n // 2)
+    systems = [pinned_system(rng, n, p, rational) for p in (columns[:cut], columns[cut:], [])]
+    kernels = [RationalMatrix(a).kernel() for a in systems]
+    c_gens = [unit(n, j) for j in rng.sample(range(n), rng.randint(1, n))]
+    C = Subspace(n, c_gens)
+    for a, K in zip(systems, kernels):
+        assert K.basis == tuple(kernel_dense(a, n))
+        check_meet_and_sum(K, C, K.basis, c_gens)
+        check_equations(K)
+    for (a, K), (b, L) in combinations(zip(systems, kernels), 2):
+        assert (K & L).basis == (L & K).basis == tuple(kernel_dense(a + b, n))
+        check_equations(K & L)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_equations_cut_out_kernels_meets_sums_and_spans(seed):
+    rng = random.Random(900 + seed)
+    n = rng.randint(2, 12)
+    rational = seed % 2 == 1
+    dense = [[nonzero(rng, rational) for _ in range(n)] for _ in range(n // 2)]
+    U, V = Subspace(n, unit_mix(rng, n, rational)), Subspace(n, dense)
+    K = RationalMatrix(pinned_system(rng, n, [0], rational)).kernel()
+    full = Subspace(n, [unit(n, j) for j in range(n)])
+    for S in (U, V, K, U & V, K & V, U + V, K + V, Subspace(n), full, full & K):
+        check_equations(S)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_meet_leaves_both_operands_equations_unchanged(seed):
+    # The coordinate subspace pins columns where the equations of the
+    # span and of the kernel have entries.
+    rng = random.Random(950 + seed)
+    n = rng.randint(4, 12)
+
+    def dense(k):
+        return [[nonzero(rng, True) for _ in range(n)] for _ in range(k)]
+
+    gens = dense(2)
+    U, K = Subspace(n, gens), RationalMatrix([unit(n, 0)] + dense(2)).kernel()
+    C = Subspace(n, [unit(n, j) for j in rng.sample(range(n), n // 2)])
+    operands = (U, K, C)
+    before = [[dict(row) for row in S._equations()] for S in operands]
+    for S in operands:
+        for T in operands:
+            S & T
+    assert [list(S._equations()) for S in operands] == before
+    assert U == Subspace(n, gens)
+
+
+def test_meridians_meet_longitudes_with_every_column_pinned():
+    # In the standard triple, L- and L0 are cut out by one-entry rows
+    # that together pin every coordinate, and their meet keeps them.
+    fib = load_document((GOLDEN / "wide_r32_m2.json").read_text()).to_fibration()
+    triple = standard_triple(fib.boundary_map())
+    n = triple.space.dim
+    meet = triple.l_minus & triple.l_zero
+    assert meet == Subspace(n)
+    assert sorted(meet._equations(), key=min) == [{j: 1} for j in range(n)]
 
 
 def singleton_system(rng, rational):
@@ -847,3 +959,36 @@ def test_wall_defect_is_minus_kashiwara_index(move):
             assert got.defect == parity(order) * base.defect
     if move:
         assert any(n_minus > 0 for _, n_minus, _ in corrections), corrections
+
+
+def check_cyclic(z, subspaces):
+    """Wall's correction and the dimension of W are the same in the
+    orders (L-, L0, L+), (L0, L+, L-) and (L+, L-, L0)."""
+    results = [
+        wall_correction(WallTriple(z, *subspaces[k:], *subspaces[:k])) for k in range(3)
+    ]
+    assert len({(got.correction, got.w_dim) for got in results}) == 1
+    return results[0]
+
+
+@pytest.mark.parametrize("move", [False, True], ids=["standard", "moved"])
+def test_wall_correction_is_cyclic(move):
+    # On standard triples L- and L0 are cut out by one-entry equations,
+    # and the rotations put them in every operand slot of a meet; the
+    # transvections of a moved triple leave its equations dense.
+    rng = random.Random(1000)
+    corrections = []
+    for _ in range(50):
+        fib = random_fibration(rng, 6, 25)
+        z, generators = standard_generators(fib.surface.r, fib.class_vectors())
+        if move:
+            generators = [moved(rng, gens) for gens in generators]
+        got = check_cyclic(z, [Subspace(z.dim, gens) for gens in generators])
+        corrections.append(got.correction.as_tuple())
+    if move:
+        assert any(n_minus > 0 for _, n_minus, _ in corrections), corrections
+    else:
+        fib = load_document((GOLDEN / "large_r16_m80.json").read_text()).to_fibration()
+        triple = standard_triple(fib.boundary_map())
+        got = check_cyclic(triple.space, [triple.l_minus, triple.l_zero, triple.l_plus])
+        assert got.correction.as_tuple() == (fib.cycle_span_dim(), 0, 0)
