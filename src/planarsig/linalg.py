@@ -259,21 +259,6 @@ class RationalMatrix:
                 columns[j][i] = x
         return RationalMatrix._from_rows(self.n_rows, self._den, columns)
 
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        """The product of the integer rows, over the product of the two
-        denominators."""
-        if self.n_cols != other.n_rows:
-            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        orows = other._rows
-        out = []
-        for row in self._rows:
-            acc: dict[int, int] = {}
-            for j, x in row.items():
-                for k, y in orows[j].items():
-                    acc[k] = acc.get(k, 0) + x * y
-            out.append({k: v for k, v in acc.items() if v})
-        return RationalMatrix._from_rows(other.n_cols, self._den * other._den, out)
-
     def _primitive_rows(self) -> list[dict[int, int]]:
         """Copies of the stored rows with their content divided out."""
         work = [dict(row) for row in self._rows]
@@ -461,7 +446,7 @@ def solve_many(M: RationalMatrix,
     solution x comes as integers over its least common denominator, in
     the form ``integer_row`` gives: ``(s, {column: s * x})`` over the
     nonzero entries, s >= 1 and gcd(s, every entry) = 1, so given x it
-    is unique.
+    is unique.  With no right-hand side nothing is eliminated.
 
     The augmented rows are eliminated forward as integer rows with
     pivots among the columns of M (``_eliminate``).  A system is
@@ -478,6 +463,8 @@ def solve_many(M: RationalMatrix,
     the pivot rows taken.
     """
     targets = [vector(b) for b in rhs]
+    if not targets:
+        return []
     for b in targets:
         if len(b) != M.n_rows:
             raise ValueError(f"right-hand side of length {len(b)} against {M.shape} matrix")

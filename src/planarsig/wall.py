@@ -29,11 +29,12 @@ from .linalg import (
     SignatureTriple,
     Subspace,
     _refuse_non_integers,
+    _rref,
     quotient_basis,
     solve_many,
     symmetric_signature,
 )
-from .surfaces import TorusBoundarySpace
+from .surfaces import TorusBoundarySpace, _check_r
 
 
 @dataclass(frozen=True)
@@ -163,8 +164,10 @@ class MappingTorusBoundaryMap:
 
 
 def _check_vectors(r: int, vectors: Sequence[Sequence[int]]) -> None:
-    """Raise ValueError, naming the vector's index, unless every cycle
-    vector has r entries and each is an int (bools refused)."""
+    """Raise ValueError unless r is an int >= 0 and, naming the vector's
+    index, every cycle vector has r entries and each is an int (bools
+    refused)."""
+    _check_r(r)
     for k, x in enumerate(vectors):
         if len(x) != r:
             raise ValueError(f"cycle vector {k} has {len(x)} entries, expected {r}")
@@ -230,25 +233,23 @@ def lplus_closed_form(r: int, vectors: Sequence[Sequence[int]]) -> Subspace:
     must equal lplus_kernel of the assembled boundary map; the package
     test suite enforces that cross-check.  ``vectors`` are checked as
     in ``mapping_torus_boundary_map``.
+
+    Q(gamma_s, l_k) is the k-th m coefficient of gamma_s, so the
+    meridian part of generator k is row k - 1 of the Gram matrix.  In
+    the torus order m_i is coordinate 2i and l_i is 2i + 1.  Every
+    generator has an entry of 1 or -1, so it is a primitive integer
+    row, and one ``_rref`` of them gives the canonical rows.
     """
     _check_vectors(r, vectors)
-    space = TorusBoundarySpace(r)
-    gens: list[list[int]] = []
-    for k in range(1, r + 1):
-        v = [0] * space.dim
-        v[space.l_index(k)] = 1
-        v[space.l_index(0)] = -1
-        for x in vectors:
-            c = x[k - 1]
-            if c:
-                for i in range(r):
-                    v[space.m_index(i + 1)] += c * x[i]
-        gens.append(v)
-    total_m = [0] * space.dim
-    for i in range(r + 1):
-        total_m[space.m_index(i)] = 1
-    gens.append(total_m)
-    return Subspace(space.dim, gens)
+    gens = []
+    for k, gram_row in enumerate(_gram_rows(r, vectors), start=1):
+        gen = {2 * (i + 1): x for i, x in gram_row.items()}
+        gen[1] = -1
+        gen[2 * k + 1] = 1
+        gens.append(gen)
+    gens.append({2 * i: 1 for i in range(r + 1)})
+    dim = 2 * (r + 1)
+    return Subspace._from_rows(dim, *_rref(gens, dim))
 
 
 def standard_triple(bmap: MappingTorusBoundaryMap) -> WallTriple:
@@ -276,10 +277,27 @@ def standard_triple(bmap: MappingTorusBoundaryMap) -> WallTriple:
 def psi_gram_closed_form(r: int, vectors: Sequence[Sequence[int]]) -> RationalMatrix:
     """Gram matrix of the induced form on its standard generating set.
 
-    Equals V^T * V where the rows of V are the cycle class vectors;
+    Equals sum_s gamma_s gamma_s^T over the cycle class vectors;
     positive semidefinite of rank equal to the span of the cycles.
     ``vectors`` are checked as in ``mapping_torus_boundary_map``.
     """
     _check_vectors(r, vectors)
-    V = RationalMatrix(vectors, n_cols=r)
-    return V.transpose() @ V
+    return RationalMatrix._from_rows(r, 1, _gram_rows(r, vectors))
+
+
+def _gram_rows(r: int, vectors: Sequence[Sequence[int]]) -> list[dict[int, int]]:
+    """The r x r Gram matrix G = sum_s gamma_s gamma_s^T of checked
+    cycle vectors, as integer rows over their nonzero entries: each
+    cycle adds the products of its nonzero entries, pair by pair.
+
+    Both closed forms build G here; the boundary map, on the Wall
+    route, sums the same products for its columns on its own.
+    """
+    rows: list[dict[int, int]] = [{} for _ in range(r)]
+    for x in vectors:
+        support = [(i, y) for i, y in enumerate(x) if y]
+        for i, a in support:
+            row = rows[i]
+            for j, b in support:
+                row[j] = row.get(j, 0) + a * b
+    return [{j: x for j, x in row.items() if x} for row in rows]

@@ -116,18 +116,6 @@ def test_operations_match_dense_oracles(case, data):
     spelled_columns = spell(data.draw, transposed(grid, n_cols))
     assert RationalMatrix(spelled_columns, n_cols=n_rows).transpose() == M
 
-    width = data.draw(st.integers(0, 4))
-    other = data.draw(grids(n_rows=n_cols, n_cols=width))
-    product = M @ RationalMatrix(spell(data.draw, other), n_cols=width)
-    assert product.shape == (n_rows, width)
-    expected = matmul_dense(grid, other, width)
-    assert rows_of(product) == expected
-    assert product == RationalMatrix(expected, n_cols=width)
-    gram = M @ T
-    expected = matmul_dense(grid, transposed(grid, n_cols), n_rows)
-    assert rows_of(gram) == expected
-    assert gram == RationalMatrix(expected, n_cols=n_rows)
-    assert gram == gram.transpose()
     assert (M == M.transpose()) == (n_rows == n_cols and grid == transposed(grid, n_cols))
 
     assert M.rank() == rank_by_minors(grid)

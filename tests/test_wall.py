@@ -174,6 +174,15 @@ def test_cycle_vectors_are_checked(build, vectors):
         build(2, vectors)
 
 
+@pytest.mark.parametrize("build",
+                         [mapping_torus_boundary_map, lplus_closed_form, psi_gram_closed_form],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("r", [-1, 2.0, True], ids=repr)
+def test_boundary_count_is_checked(build, r):
+    with pytest.raises(ValueError, match="^boundary count parameter r "):
+        build(r, [])
+
+
 class TestLplus:
     def test_kernel_dimension(self, monkeypatch):
         rng = random.Random(107)
