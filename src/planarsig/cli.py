@@ -188,14 +188,14 @@ def assemble_report(doc: FibrationDocument, fib: PlanarFibration) -> dict:
         "b2": report.b2,
         "euler": report.euler,
         "definiteness": report.definiteness,
-        "intersection_form": list(report.form.as_tuple()),
+        "intersection_form": list(report.form),
         "allowable": report.allowable,
         "oracle_sigma": report.oracle_sigma,
         "oracle_agrees": report.oracle_agrees,
         "wall": {
             "w_dim": wc.w_dim,
             "psi_matrix": _matrix_strings(wc.psi, "wall.psi_matrix"),
-            "correction_triple": list(wc.correction.as_tuple()),
+            "correction_triple": list(wc.correction),
         },
         "boundary_map": _matrix_strings(report.boundary_map.matrix, "boundary_map"),
     }

@@ -45,18 +45,16 @@ class PlanarFibration:
     """
 
     surface: PlanarSurface
-    cycles: tuple[CurveClass, ...]
+    cycles: tuple[CurveClass, ...] = ()
     force: bool = False
     _vectors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
-    def __init__(self, surface: PlanarSurface, cycles=(), force: bool = False):
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "cycles", tuple(cycles))
-        if not isinstance(force, bool):
-            raise ValueError(f"force must be a bool, not {force!r}")
-        object.__setattr__(self, "force", force)
+    def __post_init__(self):
+        object.__setattr__(self, "cycles", tuple(self.cycles))
+        if not isinstance(self.force, bool):
+            raise ValueError(f"force must be a bool, not {self.force!r}")
         # class_vector validates each curve's shape and range.
-        vectors = tuple(surface.class_vector(c) for c in self.cycles)
+        vectors = tuple(self.surface.class_vector(c) for c in self.cycles)
         if not self.force:
             for i, v in enumerate(vectors):
                 if not any(v):

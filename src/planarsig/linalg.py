@@ -44,11 +44,10 @@ solution as integers over their least common denominator, in the form
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -326,12 +325,12 @@ def _rref(work: list[dict[int, int]], n: int) -> tuple[list[int], list[dict[int,
     pivot.
 
     After the forward pass (``_eliminate``), back substitution clears
-    each pivot row, bottom-up, at the later pivot columns it holds,
-    using the pivot rows below it, which are already reduced.  Each
-    step is ``_clear``, so every row stays primitive and ends as the
-    unique primitive row of the span with its lead at its pivot and
-    zeros at the other pivots, whichever pivot rows the forward pass
-    took; a sign flip makes its lead positive.
+    each pivot row, bottom-up, at the later pivot columns it holds
+    (``_reduce``), using the pivot rows below it, which are already
+    reduced.  Each step is ``_clear``, so every row stays primitive and
+    ends as the unique primitive row of the span with its lead at its
+    pivot and zeros at the other pivots, whichever pivot rows the
+    forward pass took; a sign flip makes its lead positive.
     """
     units = {next(iter(row)) for row in work if len(row) == 1}
     if units:
@@ -348,12 +347,9 @@ def _rref(work: list[dict[int, int]], n: int) -> tuple[list[int], list[dict[int,
                 rest.append(row)
         work = rest
     pivots, rows, _ = _eliminate(work, n)
-    where = {c: k for k, c in enumerate(pivots)}
-    for k in range(len(rows) - 2, -1, -1):
-        row = rows[k]
-        for c in [c for c in row if c in where and where[c] != k]:
-            pivot = rows[where[c]]
-            _clear(row, pivot, pivot[c], row[c])
+    where = dict(zip(pivots, rows))
+    for p, row in zip(pivots[-2::-1], rows[-2::-1]):
+        _reduce(row, [(c, where[c]) for c in row if c != p and c in where])
     for p, row in zip(pivots, rows):
         if row[p] < 0:
             for j in row:
@@ -651,9 +647,9 @@ def quotient_basis(numerator: Subspace, denominator: Subspace) -> Subspace:
     return Subspace._from_rows(numerator.ambient_dim, pivots, rows)
 
 
-@dataclass(frozen=True)
-class SignatureTriple:
-    """Inertia counts (positive, negative, zero) of a symmetric form."""
+class SignatureTriple(NamedTuple):
+    """Inertia counts (positive, negative, zero) of a symmetric form; a
+    tuple, so it unpacks as and equals ``(n_plus, n_minus, n_zero)``."""
 
     n_plus: int
     n_minus: int
@@ -662,9 +658,6 @@ class SignatureTriple:
     @property
     def signature(self) -> int:
         return self.n_plus - self.n_minus
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.n_plus, self.n_minus, self.n_zero)
 
 
 def symmetric_signature(S: RationalMatrix) -> SignatureTriple:

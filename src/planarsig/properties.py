@@ -77,7 +77,7 @@ def check_fibration(fib: PlanarFibration, rng: random.Random) -> list[CheckResul
     add(
         "correction-positive-definite",
         wc.correction == SignatureTriple(wc.w_dim, 0, 0) and wc.defect == wc.w_dim,
-        f"correction {wc.correction.as_tuple()} with w_dim {wc.w_dim}",
+        f"correction {tuple(wc.correction)} with w_dim {wc.w_dim}",
     )
     add(
         "quotient-dim-equals-cycle-span",
@@ -93,7 +93,7 @@ def check_fibration(fib: PlanarFibration, rng: random.Random) -> list[CheckResul
     add(
         "gram-psd-of-span-rank",
         gram_sig == SignatureTriple(d, 0, r - d),
-        f"gram inertia {gram_sig.as_tuple()} vs expected ({d}, 0, {r - d})",
+        f"gram inertia {tuple(gram_sig)} vs expected ({d}, 0, {r - d})",
     )
     add(
         "betti-signature-identity",
@@ -105,7 +105,7 @@ def check_fibration(fib: PlanarFibration, rng: random.Random) -> list[CheckResul
         "form-never-indefinite",
         report.form == SignatureTriple(0, m - d, 0)
         and report.definiteness == expected_verdict,
-        f"form {report.form.as_tuple()} verdict {report.definiteness}",
+        f"form {tuple(report.form)} verdict {report.definiteness}",
     )
     add(
         "sigma-nonpositive",

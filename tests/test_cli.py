@@ -103,6 +103,11 @@ class TestCompute:
         assert "-1" in out
         assert "boundary map" in out
 
+    def test_table_without_cycles_prints_an_empty_psi(self, capsys, feed_stdin):
+        feed_stdin({"boundary_components": 2})
+        assert main(["compute", "-", "--format", "table"]) == 0
+        assert "\npsi matrix:\n  (empty)\nboundary map:\n" in capsys.readouterr().out
+
     def test_byte_identical_output(self, capsys, feed_stdin):
         feed_stdin(THREE_CYCLES_DOC)
         main(["compute", "-"])
@@ -324,6 +329,14 @@ class TestValidation:
             (
                 {"boundary_components": 3, "vanishing_cycles": [7]},
                 "vanishing_cycles[0]",
+            ),
+            (
+                {"boundary_components": 3, "vanishing_cycles": [{"encloses": 1}]},
+                "error: vanishing_cycles[0].encloses: must be a list of integers\n",
+            ),
+            (
+                {"boundary_components": 3, "force_non_allowable": "yes"},
+                "error: force_non_allowable: must be a boolean\n",
             ),
         ],
     )
@@ -564,6 +577,15 @@ class TestFuzz:
         assert len(reloaded) == len(vectors)
         for v, w in zip(reloaded, vectors):
             assert v in (w, tuple(-x for x in w))
+
+    def test_random_proper_subset_refuses_r_zero(self):
+        # {0} has no nonempty proper subset; a draw would loop for ever.
+        class NoDraws(random.Random):
+            def random(self):
+                raise AssertionError("drew a number for r = 0")
+
+        with pytest.raises(ValueError, match="^no nonempty proper subsets exist for r = 0$"):
+            properties.random_proper_subset(NoDraws(), 0)
 
     def test_check_names_list_the_battery(self):
         # The summary counts passes under CHECK_NAMES, so the list must

@@ -163,6 +163,15 @@ class TestTorusBoundarySpace:
             with pytest.raises(ValueError, match="ambient"):
                 z.is_isotropic(Subspace(n, [[1] + [0] * (n - 1)]))
 
+    @pytest.mark.parametrize(
+        "u, v",
+        [([1, 0, 0], [0, 1, 0, 0]), ([1, 0, 0, 0], [0, 1, 0, 0, 0])],
+        ids=["short-first", "long-second"],
+    )
+    def test_pair_refuses_vectors_of_other_lengths(self, u, v):
+        with pytest.raises(ValueError, match="^vectors must have length 4$"):
+            TorusBoundarySpace(1).pair(u, v)
+
     def test_pairing_on_basis(self):
         z = TorusBoundarySpace(3)
         for i in range(4):
