@@ -55,11 +55,12 @@ EXIT_ORACLE_DISAGREEMENT = 4
 
 
 class DocumentError(ValueError):
-    """Invalid fibration document; carries the offending field path."""
+    """Invalid input to a command; the message starts with the
+    offending field path when there is one.  ``main`` reports it with
+    exit code 2."""
 
     def __init__(self, message: str, field: str = ""):
         super().__init__(f"{field}: {message}" if field else message)
-        self.field = field
 
 
 @dataclass
@@ -209,9 +210,9 @@ def _json_text(obj, indent: str = "\n") -> str:
     the (r + 1) x 2(r + 1) boundary map.  Here a list of strs is joined
     in one pass when a single ``encode_basestring_ascii`` check over
     all its items shows that none needs escaping; otherwise each is
-    quoted by it.  A list of ints is written by ``int.__repr__``, as
-    ``json`` does, and so are lone strs and ints.  Any other list or
-    dict is written recursively, and any other value by ``json.dumps``.
+    quoted by it.  A lone int is written by ``int.__repr__``, as
+    ``json`` does.  Any other list or dict is written recursively, and
+    any other value by ``json.dumps``.
     ``indent`` is the newline and indentation before the closing
     bracket.
     """
@@ -241,8 +242,6 @@ def _json_text(obj, indent: str = "\n") -> str:
                 body = '"' + ('"' + comma + '"').join(obj) + '"'
             else:
                 body = comma.join(map(encode_basestring_ascii, obj))
-        elif kinds == {int}:
-            body = comma.join(map(int.__repr__, obj))
         else:
             body = comma.join(_json_text(x, inner) for x in obj)
         return "[" + inner + body + indent + "]"
@@ -303,21 +302,9 @@ def cmd_compute(args) -> int:
             with open(args.file, "r", encoding="utf-8") as handle:
                 text = handle.read()
     except (OSError, UnicodeDecodeError) as e:
-        print(f"error: cannot read {args.file}: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        doc = load_document(text)
-        report = assemble_report(doc, doc.to_fibration(force=args.force))
-    except DocumentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except NonAllowableCycleError as e:
-        print(
-            f"error: vanishing_cycles[{e.index}] is null-homologous on the fiber; "
-            'pass --force or set "force_non_allowable": true to compute anyway',
-            file=sys.stderr,
-        )
-        return EXIT_NON_ALLOWABLE
+        raise DocumentError(f"cannot read {args.file}: {e}") from None
+    doc = load_document(text)
+    report = assemble_report(doc, doc.to_fibration(force=args.force))
     text = render_table(report) if args.format == "table" else _json_text(report)
     bug = "" if report["oracle_agrees"] else "the two signature computations disagree"
     return _finish(text, bug)
@@ -325,8 +312,7 @@ def cmd_compute(args) -> int:
 
 def cmd_examples(args) -> int:
     if args.r < 2:
-        print("error: --r must be >= 2 for the built-in families", file=sys.stderr)
-        return EXIT_INVALID
+        raise DocumentError("--r must be >= 2 for the built-in families")
     if args.family == "y1":
         fib, expected = family_y1(args.r), expected_sigma_y1(args.r)
     else:
@@ -353,8 +339,7 @@ def cmd_examples(args) -> int:
 
 def cmd_fuzz(args) -> int:
     if args.count < 0 or args.max_r < 0 or args.max_m < 0:
-        print("error: bounds must be nonnegative", file=sys.stderr)
-        return EXIT_INVALID
+        raise DocumentError("bounds must be nonnegative")
     rng = random.Random(args.seed)
     passed = {name: 0 for name in CHECK_NAMES}
     failures = []
@@ -448,8 +433,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  The commands raise on bad input, and this is
+    the one place that reports it: one ``error:`` line on stderr and
+    exit code 2, or 3 for a null-homologous cycle."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DocumentError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID
+    except NonAllowableCycleError as e:
+        print(
+            f"error: vanishing_cycles[{e.index}] is null-homologous on the fiber; "
+            'pass --force or set "force_non_allowable": true to compute anyway',
+            file=sys.stderr,
+        )
+        return EXIT_NON_ALLOWABLE
 
 
 def _print(text: str) -> None:

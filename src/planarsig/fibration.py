@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .linalg import RationalMatrix, SignatureTriple, _refuse_non_integers
+from .linalg import RationalMatrix, SignatureTriple, _check_int
 from .surfaces import CurveClass, NonAllowableCycleError, PlanarSurface
 from .wall import (
     MappingTorusBoundaryMap,
@@ -147,13 +147,6 @@ class InvariantsReport:
     wall: WallCorrection
 
 
-def _check_family_parameter(r: int, family: str) -> None:
-    """Raise ValueError unless r is an int (bools refused) and r >= 2."""
-    _refuse_non_integers((r,), "family parameter r")
-    if r < 2:
-        raise ValueError(f"family {family} requires r >= 2")
-
-
 def family_y1(r: int) -> PlanarFibration:
     """Fibration on a fiber with r+2 boundary circles, one cycle around
     each pair of non-distinguished circles, in lexicographic order.
@@ -163,7 +156,7 @@ def family_y1(r: int) -> PlanarFibration:
     cycle spans only one dimension and the closed form for the span
     breaks down.
     """
-    _check_family_parameter(r, "y1")
+    _check_int(r, "family parameter r", 2)
     surface = PlanarSurface(r + 1)
     cycles = [CurveClass.enclosing(pair) for pair in combinations(range(1, r + 2), 2)]
     return PlanarFibration(surface, cycles)
@@ -171,7 +164,7 @@ def family_y1(r: int) -> PlanarFibration:
 
 def expected_sigma_y1(r: int) -> int:
     """Closed-form signature -(r-2)(r+1)/2 of ``family_y1(r)``; r >= 2."""
-    _check_family_parameter(r, "y1")
+    _check_int(r, "family parameter r", 2)
     return -(r - 2) * (r + 1) // 2
 
 
@@ -183,7 +176,7 @@ def family_y2(r: int) -> PlanarFibration:
     signature -r^2 + r + 1.  Shares its boundary map with family y1 at
     equal r (the two monodromies agree) while the signatures differ.
     """
-    _check_family_parameter(r, "y2")
+    _check_int(r, "family parameter r", 2)
     surface = PlanarSurface(r + 1)
     cycles = [CurveClass.enclosing({0})]
     for i in range(1, r + 2):
@@ -193,5 +186,5 @@ def family_y2(r: int) -> PlanarFibration:
 
 def expected_sigma_y2(r: int) -> int:
     """Closed-form signature -r^2 + r + 1 of ``family_y2(r)``; r >= 2."""
-    _check_family_parameter(r, "y2")
+    _check_int(r, "family parameter r", 2)
     return -r * r + r + 1

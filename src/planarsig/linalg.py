@@ -63,6 +63,19 @@ def _refuse_non_integers(entries: Sequence, what: str) -> None:
             raise ValueError(f"{what} {x!r} is not an integer")
 
 
+def _check_int(value, what: str, low: int = 0, high: int | None = None) -> None:
+    """The one check of an integer parameter: raise ValueError unless
+    ``value`` is an int (bools refused), at least ``low`` and, when
+    ``high`` is given, at most ``high``."""
+    if type(value) is not int:
+        _refuse_non_integers((value,), what)
+    if high is None:
+        if value < low:
+            raise ValueError(f"{what} must be >= {low}")
+    elif not low <= value <= high:
+        raise ValueError(f"{what} {value} out of range {low}..{high}")
+
+
 def vector(entries: Iterable) -> tuple:
     """Coerce an iterable of exact numbers, the one entry check of the
     package: ints and Fractions come back as they are, a float raises
@@ -183,9 +196,7 @@ class RationalMatrix:
 
     def __init__(self, rows: Iterable[Iterable], n_cols: int | None = None):
         if n_cols is not None:
-            _refuse_non_integers((n_cols,), "column count")
-            if n_cols < 0:
-                raise ValueError("column count must be nonnegative")
+            _check_int(n_cols, "column count")
         data = [vector(row) for row in rows]
         if data:
             widths = {len(row) for row in data}
@@ -521,9 +532,7 @@ class Subspace:
     __slots__ = ("ambient_dim", "_pivots", "_rows", "_eqs")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Sequence] = ()):
-        _refuse_non_integers((ambient_dim,), "ambient dimension")
-        if ambient_dim < 0:
-            raise ValueError("ambient dimension must be nonnegative")
+        _check_int(ambient_dim, "ambient dimension")
         work = []
         for v in vectors:
             w = vector(v)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import Subspace, _refuse_non_integers, vector
+from .linalg import Subspace, _check_int, _refuse_non_integers, vector
 
 
 class NonAllowableCycleError(ValueError):
@@ -86,13 +86,6 @@ class CurveClass:
         return cls(coefficients=coefficients)
 
 
-def _check_r(r) -> None:
-    """Refuse a boundary count parameter r that is not an int >= 0."""
-    _refuse_non_integers((r,), "boundary count parameter r")
-    if r < 0:
-        raise ValueError("boundary count parameter r must be >= 0")
-
-
 @dataclass(frozen=True)
 class PlanarSurface:
     """Genus-zero surface with r+1 boundary circles (r >= 0)."""
@@ -100,7 +93,7 @@ class PlanarSurface:
     r: int
 
     def __post_init__(self):
-        _check_r(self.r)
+        _check_int(self.r, "boundary count parameter r")
 
     def class_vector(self, curve: CurveClass) -> tuple[int, ...]:
         """Homology vector of a curve in the basis (m_1, ..., m_r).
@@ -146,26 +139,19 @@ class TorusBoundarySpace:
     r: int
 
     def __post_init__(self):
-        _check_r(self.r)
+        _check_int(self.r, "boundary count parameter r")
 
     @property
     def dim(self) -> int:
         return 2 * (self.r + 1)
 
     def m_index(self, i: int) -> int:
-        self._check_torus(i)
+        _check_int(i, "torus index", 0, self.r)
         return 2 * i
 
     def l_index(self, i: int) -> int:
-        self._check_torus(i)
+        _check_int(i, "torus index", 0, self.r)
         return 2 * i + 1
-
-    def _check_torus(self, i: int) -> None:
-        """Refuse an index that is not an int in 0..r; bools are refused."""
-        if type(i) is not int:
-            _refuse_non_integers((i,), "torus index")
-        if not 0 <= i <= self.r:
-            raise ValueError(f"torus index {i} out of range 0..{self.r}")
 
     def pair(self, u: Sequence, v: Sequence) -> Fraction:
         """Intersection pairing Q(u, v); skew so Q(u, v) = -Q(v, u).

@@ -28,13 +28,14 @@ from .linalg import (
     RationalMatrix,
     SignatureTriple,
     Subspace,
+    _check_int,
     _refuse_non_integers,
     _rref,
     quotient_basis,
     solve_many,
     symmetric_signature,
 )
-from .surfaces import TorusBoundarySpace, _check_r
+from .surfaces import TorusBoundarySpace
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,7 @@ def _check_vectors(r: int, vectors: Sequence[Sequence[int]]) -> None:
     """Raise ValueError unless r is an int >= 0 and, naming the vector's
     index, every cycle vector has r entries and each is an int (bools
     refused)."""
-    _check_r(r)
+    _check_int(r, "boundary count parameter r")
     for k, x in enumerate(vectors):
         if len(x) != r:
             raise ValueError(f"cycle vector {k} has {len(x)} entries, expected {r}")

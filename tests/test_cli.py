@@ -90,9 +90,14 @@ class TestCompute:
         assert main(["compute", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["sigma"] == -1
 
-    def test_missing_file(self, capsys):
-        assert main(["compute", "/no/such/file.json"]) == 2
-        assert "error" in capsys.readouterr().err
+    def test_missing_file(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        assert main(["compute", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot read {path}: [Errno 2] No such file or directory: {str(path)!r}\n"
+        )
 
     def test_table_format(self, capsys, feed_stdin):
         feed_stdin(THREE_CYCLES_DOC)
@@ -378,12 +383,16 @@ class TestValidation:
         assert captured.err == f"error: vanishing_cycles[0].{key}: {expected.value}\n"
 
     def test_null_homologous_without_force(self, capsys, feed_stdin):
-        doc = {"boundary_components": 3, "vanishing_cycles": [{"class": [0, 0]}]}
+        doc = {"boundary_components": 3,
+               "vanishing_cycles": [{"encloses": [1]}, {"class": [0, 0]}]}
         feed_stdin(doc)
         assert main(["compute", "-"]) == 3
-        err = capsys.readouterr().err
-        assert "null-homologous" in err
-        assert "--force" in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: vanishing_cycles[1] is null-homologous on the fiber; "
+            'pass --force or set "force_non_allowable": true to compute anyway\n'
+        )
 
     @pytest.mark.parametrize(
         "payload",
@@ -490,7 +499,9 @@ class TestExamples:
 
     def test_small_parameter_rejected(self, capsys):
         assert main(["examples", "--family", "y1", "--r", "1"]) == 2
-        assert "error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --r must be >= 2 for the built-in families\n"
 
     def test_families_report_equal_boundary_maps(self, capsys):
         main(["examples", "--family", "y1", "--r", "3"])
@@ -542,7 +553,11 @@ class TestFuzz:
         assert out == (GOLDEN / "fuzz_seed4_count30.json").read_text()
 
     def test_negative_bounds_rejected(self, capsys):
-        assert main(["fuzz", "--count", "-1"]) == 2
+        for flag in ("--count", "--max-r", "--max-m"):
+            assert main(["fuzz", flag, "-1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: bounds must be nonnegative\n"
 
     def test_exception_in_an_instance_is_a_failure(self, capsys, monkeypatch):
         import planarsig.properties as properties

@@ -280,7 +280,7 @@ class TestSubspace:
     @pytest.mark.parametrize(
         "construct, message",
         [
-            (lambda: Subspace(-1), "^ambient dimension must be nonnegative$"),
+            (lambda: Subspace(-1), "^ambient dimension must be >= 0$"),
             (lambda: Subspace(3, [[1, 0, 0], [0, 1]]), r"^generator of length 2 in Q\^3$"),
             (lambda: [1, 0] in Subspace(3, [[1, 0, 0]]), r"^vector of length 2 in Q\^3$"),
         ],

@@ -3,8 +3,10 @@ from itertools import chain, combinations
 
 import pytest
 
+from planarsig.fibration import expected_sigma_y1, expected_sigma_y2, family_y1, family_y2
 from planarsig.linalg import RationalMatrix, Subspace
 from planarsig.surfaces import CurveClass, PlanarSurface, TorusBoundarySpace
+from planarsig.wall import lplus_closed_form, mapping_torus_boundary_map, psi_gram_closed_form
 
 
 def proper_subsets(r):
@@ -12,21 +14,54 @@ def proper_subsets(r):
     return chain.from_iterable(combinations(indices, k) for k in range(1, r + 1))
 
 
-@pytest.mark.parametrize("construct", [
-    lambda: RationalMatrix([], n_cols=-1),
-    lambda: TorusBoundarySpace(1.5),
-    lambda: PlanarSurface(True),
-    lambda: Subspace(True, [[1]]),
-    lambda: Subspace(2.5, []),
-    lambda: RationalMatrix([], n_cols=2.0),
-    lambda: RationalMatrix([], n_cols=True),
-], ids=[
-    "negative-columns", "fractional-r", "bool-r", "bool-ambient-dim",
-    "fractional-ambient-dim", "fractional-columns", "bool-columns",
+# Every integer parameter of the package, checked by ``linalg._check_int``:
+# (id, call, what it is named, a float, the first value out of bounds, its
+# message).
+INTEGER_PARAMETERS = [
+    ("columns", lambda n: RationalMatrix([], n_cols=n), "column count",
+     2.0, -1, "column count must be >= 0"),
+    ("ambient-dim", lambda n: Subspace(n, []), "ambient dimension",
+     2.5, -1, "ambient dimension must be >= 0"),
+    ("r", PlanarSurface, "boundary count parameter r",
+     1.5, -1, "boundary count parameter r must be >= 0"),
+    ("torus-r", TorusBoundarySpace, "boundary count parameter r",
+     1.5, -1, "boundary count parameter r must be >= 0"),
+    ("m-index", lambda i: TorusBoundarySpace(2).m_index(i), "torus index",
+     1.0, 3, "torus index 3 out of range 0..2"),
+    ("l-index", lambda i: TorusBoundarySpace(2).l_index(i), "torus index",
+     0.5, -1, "torus index -1 out of range 0..2"),
+    ("family-y1", family_y1, "family parameter r",
+     2.5, 1, "family parameter r must be >= 2"),
+    ("family-y2", family_y2, "family parameter r",
+     3.0, 1, "family parameter r must be >= 2"),
+    ("expected-y1", expected_sigma_y1, "family parameter r",
+     2.0, 1, "family parameter r must be >= 2"),
+    ("expected-y2", expected_sigma_y2, "family parameter r",
+     4.5, 1, "family parameter r must be >= 2"),
+    ("boundary-map-r", lambda r: mapping_torus_boundary_map(r, []),
+     "boundary count parameter r", 2.0, -1, "boundary count parameter r must be >= 0"),
+    ("lplus-closed-form-r", lambda r: lplus_closed_form(r, []),
+     "boundary count parameter r", 0.0, -1, "boundary count parameter r must be >= 0"),
+    ("psi-gram-closed-form-r", lambda r: psi_gram_closed_form(r, []),
+     "boundary count parameter r", 1.5, -1, "boundary count parameter r must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("construct, value, message", [
+    case
+    for name, call, what, fraction, out_of_bounds, bound_message in INTEGER_PARAMETERS
+    for case in (
+        pytest.param(call, True, f"{what} True is not an integer", id=f"bool-{name}"),
+        pytest.param(call, fraction, f"{what} {fraction!r} is not an integer",
+                     id=f"fractional-{name}"),
+        pytest.param(call, out_of_bounds, bound_message,
+                     id=f"{'negative' if out_of_bounds < 0 else 'out-of-range'}-{name}"),
+    )
 ])
-def test_malformed_sizes_are_refused(construct):
-    with pytest.raises(ValueError):
-        construct()
+def test_malformed_sizes_are_refused(construct, value, message):
+    with pytest.raises(ValueError) as exc:
+        construct(value)
+    assert str(exc.value) == message
 
 
 class TestCurveClass:
