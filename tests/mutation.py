@@ -9,7 +9,7 @@ files run in one pytest process (stopping at the first failure) with
 
 * ``killed``   -- some test failed;
 * ``survived`` -- every test passed;
-* ``timeout``  -- pytest ran past the time limit and was stopped;
+* ``timeout``  -- pytest ran past ``TIMEOUT`` seconds and was stopped;
 * ``error``    -- pytest could not run the tests (for example a
   collection error), so nothing was learnt.
 
@@ -21,12 +21,9 @@ mutant has its expected outcome: ``killed``, or ``survived`` for the
 equivalent mutants listed as such.  Standard library only; not a test
 module, so pytest does not collect it.
 
-    python tests/mutation.py                  # the whole table
-    python tests/mutation.py NAME [NAME ...]  # the named mutants only
-    python tests/mutation.py --timeout 60     # seconds per mutant (default 300)
+    python tests/mutation.py
 """
 
-import argparse
 import os
 import pathlib
 import shutil
@@ -54,6 +51,9 @@ def mutant(name, module, old, new, *tests, expect="killed"):
 
 
 DENSE = "test_dense_reference.py"
+# Seconds per pytest run: the unmutated run of every named file takes
+# about 17 s and the slowest mutant about 14 s (Python 3.11).
+TIMEOUT = 60
 
 MUTANTS = [
     # The one integer-parameter check and each of its call sites.
@@ -403,7 +403,7 @@ def check_table(mutants: list[Mutant]) -> list[str]:
     return problems
 
 
-def run_tests(tree: pathlib.Path, tests, timeout: float) -> tuple[str, float, str]:
+def run_tests(tree: pathlib.Path, tests) -> tuple[str, float, str]:
     """Run the test files against the package in ``tree``; returns the
     outcome, the seconds taken and the tail of pytest's output.  pytest
     runs in ``tree``, so what the tests write there (a Hypothesis
@@ -414,7 +414,7 @@ def run_tests(tree: pathlib.Path, tests, timeout: float) -> tuple[str, float, st
     start = time.monotonic()
     try:
         proc = subprocess.run(command, cwd=tree, env=env, capture_output=True,
-                              timeout=timeout)
+                              timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout", time.monotonic() - start, ""
     outcome = {0: "survived", 1: "killed"}.get(proc.returncode, "error")
@@ -428,20 +428,8 @@ def fresh_copy(workdir: pathlib.Path, name: str) -> pathlib.Path:
     return tree
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds per mutant (default 300)")
-    args = parser.parse_args(argv)
-
-    mutants = MUTANTS
-    if args.names:
-        unknown = set(args.names) - {m.name for m in MUTANTS}
-        if unknown:
-            parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-        mutants = [m for m in MUTANTS if m.name in args.names]
-    problems = check_table(mutants)
+def main() -> int:
+    problems = check_table(MUTANTS)
     if problems:
         for problem in problems:
             print(f"table error: {problem}")
@@ -450,18 +438,17 @@ def main(argv=None) -> int:
     unexpected = []
     with tempfile.TemporaryDirectory(prefix="planarsig-mutants-") as workdir:
         workdir = pathlib.Path(workdir)
-        tests = sorted({test for m in mutants for test in m.tests})
-        outcome, seconds, tail = run_tests(fresh_copy(workdir, "unmutated"), tests,
-                                           args.timeout)
+        tests = sorted({test for m in MUTANTS for test in m.tests})
+        outcome, seconds, tail = run_tests(fresh_copy(workdir, "unmutated"), tests)
         if outcome != "survived":
             print(f"{outcome}: the {len(tests)} test files must pass on the unmutated copy "
                   f"before a mutant can be judged\n{tail}")
             return 1
         print(f"the {len(tests)} test files pass on the unmutated copy ({seconds:.1f} s)")
-        for index, m in enumerate(mutants):
+        for index, m in enumerate(MUTANTS):
             tree = fresh_copy(workdir, f"mutant{index}")
             apply(tree, m)
-            outcome, seconds, tail = run_tests(tree, m.tests, args.timeout)
+            outcome, seconds, tail = run_tests(tree, m.tests)
             shutil.rmtree(tree)
             if outcome == m.expect:
                 print(f"{outcome:9} {m.name} ({seconds:.1f} s)", flush=True)
@@ -469,8 +456,8 @@ def main(argv=None) -> int:
                 unexpected.append(m.name)
                 print(f"{outcome:9} {m.name} ({seconds:.1f} s)  UNEXPECTED, expected "
                       f"{m.expect}\n{tail}", flush=True)
-    equivalent = sum(m.expect == "survived" for m in mutants)
-    print(f"{len(mutants)} mutants, {len(mutants) - equivalent} expected killed and "
+    equivalent = sum(m.expect == "survived" for m in MUTANTS)
+    print(f"{len(MUTANTS)} mutants, {len(MUTANTS) - equivalent} expected killed and "
           f"{equivalent} expected to survive (equivalent); "
           f"{len(unexpected)} unexpected outcomes"
           + (f": {', '.join(unexpected)}" if unexpected else ""))
