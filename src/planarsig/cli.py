@@ -65,15 +65,22 @@ class DocumentError(ValueError):
 
 @dataclass
 class FibrationDocument:
-    """Parsed input document, with the surface its cycles were
-    validated against."""
+    """Parsed input document: the fibration it describes, and ``force``,
+    the document's own ``force_non_allowable``.  That flag is the one
+    thing the echo writes that the fibration does not carry: the
+    fibration's ``force`` also holds a ``--force`` given on the command
+    line."""
 
-    surface: PlanarSurface
-    cycles: list[CurveClass]
+    fibration: PlanarFibration
     force: bool = False
 
     @classmethod
-    def from_obj(cls, obj) -> "FibrationDocument":
+    def from_obj(cls, obj, force: bool = False) -> "FibrationDocument":
+        """Check the document, then build its fibration with ``force``
+        set when the document or the caller sets it.  The shape and fit
+        of every cycle are checked first, then the flag's type (both
+        raise DocumentError), and last whether a cycle is
+        null-homologous (NonAllowableCycleError)."""
         if not isinstance(obj, dict):
             raise DocumentError("document must be a JSON object")
         allowed = {"boundary_components", "vanishing_cycles", "force_non_allowable"}
@@ -95,10 +102,10 @@ class FibrationDocument:
             cls._parse_cycle(item, i, surface) for i, item in enumerate(raw_cycles)
         ]
 
-        force = obj.get("force_non_allowable", False)
-        if not isinstance(force, bool):
+        doc_force = obj.get("force_non_allowable", False)
+        if not isinstance(doc_force, bool):
             raise DocumentError("must be a boolean", field="force_non_allowable")
-        return cls(surface=surface, cycles=cycles, force=force)
+        return cls(PlanarFibration(surface, cycles, force=doc_force or force), doc_force)
 
     @staticmethod
     def _parse_cycle(item, index: int, surface: PlanarSurface) -> CurveClass:
@@ -124,28 +131,31 @@ class FibrationDocument:
             raise DocumentError(str(e), field=field) from None
         return curve
 
-    def to_fibration(self, force: bool = False) -> PlanarFibration:
-        return PlanarFibration(self.surface, self.cycles, force=self.force or force)
-
     def echo(self) -> dict:
         """The document as JSON, in a normal form: an enclosed set that
         holds circle 0 is written as its complement, which describes the
         same unoriented curve, and enclosed sets are sorted."""
-        circles = frozenset(range(self.surface.r + 1))
+        r = self.fibration.surface.r
+        circles = frozenset(range(r + 1))
         cycles = [
             {"class": list(c.coefficients)}
             if c.encloses is None
             else {"encloses": sorted(circles - c.encloses if 0 in c.encloses else c.encloses)}
-            for c in self.cycles
+            for c in self.fibration.cycles
         ]
         return {
-            "boundary_components": self.surface.r + 1,
+            "boundary_components": r + 1,
             "vanishing_cycles": cycles,
             "force_non_allowable": self.force,
         }
 
 
-def load_document(text: str) -> FibrationDocument:
+def load_document(text: str, force: bool = False) -> FibrationDocument:
+    """Parse a JSON document and build its fibration, as
+    ``FibrationDocument.from_obj(obj, force)``.  Text that is not JSON,
+    or not a valid document, raises DocumentError; a null-homologous
+    cycle raises NonAllowableCycleError unless the document or
+    ``force`` accepts it."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -154,12 +164,7 @@ def load_document(text: str) -> FibrationDocument:
         raise DocumentError("invalid JSON: integer literal too long")
     except RecursionError:
         raise DocumentError("invalid JSON: nested too deeply")
-    return FibrationDocument.from_obj(obj)
-
-
-def document_for(fib: PlanarFibration) -> FibrationDocument:
-    """The document of a fibration."""
-    return FibrationDocument(surface=fib.surface, cycles=list(fib.cycles), force=fib.force)
+    return FibrationDocument.from_obj(obj, force)
 
 
 def _matrix_strings(M: RationalMatrix, field: str) -> list[list[str]]:
@@ -175,8 +180,8 @@ def _matrix_strings(M: RationalMatrix, field: str) -> list[list[str]]:
         ) from None
 
 
-def assemble_report(doc: FibrationDocument, fib: PlanarFibration) -> dict:
-    report = fib.betti_report()
+def assemble_report(doc: FibrationDocument) -> dict:
+    report = doc.fibration.betti_report()
     wc = report.wall
     return {
         "schema_version": SCHEMA_VERSION,
@@ -303,8 +308,7 @@ def cmd_compute(args) -> int:
                 text = handle.read()
     except (OSError, UnicodeDecodeError) as e:
         raise DocumentError(f"cannot read {args.file}: {e}") from None
-    doc = load_document(text)
-    report = assemble_report(doc, doc.to_fibration(force=args.force))
+    report = assemble_report(load_document(text, args.force))
     text = render_table(report) if args.format == "table" else _json_text(report)
     bug = "" if report["oracle_agrees"] else "the two signature computations disagree"
     return _finish(text, bug)
@@ -317,7 +321,7 @@ def cmd_examples(args) -> int:
         fib, expected = family_y1(args.r), expected_sigma_y1(args.r)
     else:
         fib, expected = family_y2(args.r), expected_sigma_y2(args.r)
-    report = assemble_report(document_for(fib), fib)
+    report = assemble_report(FibrationDocument(fib))
     if args.format == "table":
         text = (
             f"family {args.family}, r = {args.r}, expected signature {expected}\n"
@@ -361,7 +365,7 @@ def cmd_fuzz(args) -> int:
                         "instance": index,
                         "check": result.name,
                         "detail": result.detail,
-                        "document": document_for(fib).echo(),
+                        "document": FibrationDocument(fib).echo(),
                     }
                 )
     failures.sort(key=lambda f: (f["instance"], f["check"]))

@@ -133,7 +133,9 @@ class TorusBoundarySpace:
     """H_1 of the union of r+1 boundary tori, with its intersection pairing.
 
     Basis order is (m_0, l_0, m_1, l_1, ..., m_r, l_r); the pairing is
-    skew-symmetric and unimodular with Q(m_i, l_j) = delta_ij.
+    skew-symmetric and unimodular with Q(m_i, l_j) = delta_ij.  This is
+    the one place that maps torus indices to coordinates: other modules
+    read them through ``m_index``, ``l_index`` and ``dim``.
     """
 
     r: int

@@ -28,7 +28,6 @@ from .linalg import (
     RationalMatrix,
     SignatureTriple,
     Subspace,
-    _check_int,
     _refuse_non_integers,
     _rref,
     quotient_basis,
@@ -164,16 +163,19 @@ class MappingTorusBoundaryMap:
     matrix: RationalMatrix
 
 
-def _check_vectors(r: int, vectors: Sequence[Sequence[int]]) -> None:
-    """Raise ValueError unless r is an int >= 0 and, naming the vector's
-    index, every cycle vector has r entries and each is an int (bools
+def _torus_space(r: int, vectors: Sequence[Sequence[int]]) -> TorusBoundarySpace:
+    """The boundary tori of a fiber with r + 1 circles, for cycle vectors
+    checked against it.  ``TorusBoundarySpace(r)`` holds the one check
+    of r; then, naming the vector's index, ValueError is raised unless
+    every cycle vector has r entries and each is an int (bools
     refused)."""
-    _check_int(r, "boundary count parameter r")
+    space = TorusBoundarySpace(r)
     for k, x in enumerate(vectors):
         if len(x) != r:
             raise ValueError(f"cycle vector {k} has {len(x)} entries, expected {r}")
         if set(map(type, x)) - {int}:
             _refuse_non_integers(x, f"cycle vector {k} entry")
+    return space
 
 
 def mapping_torus_boundary_map(
@@ -186,8 +188,7 @@ def mapping_torus_boundary_map(
     another length or with an entry that is not an int raises
     ValueError.
     """
-    _check_vectors(r, vectors)
-    space = TorusBoundarySpace(r)
+    space = _torus_space(r, vectors)
     # The m_0 column is -(m_1 + ... + m_r) and m_j maps to m_j.
     rows = [{space.m_index(0): -1, space.m_index(i + 1): 1} for i in range(r)]
     # l_0 maps to itself, and so does the l_0 part of every l_j.
@@ -236,21 +237,19 @@ def lplus_closed_form(r: int, vectors: Sequence[Sequence[int]]) -> Subspace:
     in ``mapping_torus_boundary_map``.
 
     Q(gamma_s, l_k) is the k-th m coefficient of gamma_s, so the
-    meridian part of generator k is row k - 1 of the Gram matrix.  In
-    the torus order m_i is coordinate 2i and l_i is 2i + 1.  Every
-    generator has an entry of 1 or -1, so it is a primitive integer
-    row, and one ``_rref`` of them gives the canonical rows.
+    meridian part of generator k is row k - 1 of the Gram matrix.
+    Every generator has an entry of 1 or -1, so it is a primitive
+    integer row, and one ``_rref`` of them gives the canonical rows.
     """
-    _check_vectors(r, vectors)
+    space = _torus_space(r, vectors)
     gens = []
     for k, gram_row in enumerate(_gram_rows(r, vectors), start=1):
-        gen = {2 * (i + 1): x for i, x in gram_row.items()}
-        gen[1] = -1
-        gen[2 * k + 1] = 1
+        gen = {space.m_index(i + 1): x for i, x in gram_row.items()}
+        gen[space.l_index(0)] = -1
+        gen[space.l_index(k)] = 1
         gens.append(gen)
-    gens.append({2 * i: 1 for i in range(r + 1)})
-    dim = 2 * (r + 1)
-    return Subspace._from_rows(dim, *_rref(gens, dim))
+    gens.append({space.m_index(i): 1 for i in range(r + 1)})
+    return Subspace._from_rows(space.dim, *_rref(gens, space.dim))
 
 
 def standard_triple(bmap: MappingTorusBoundaryMap) -> WallTriple:
@@ -282,7 +281,7 @@ def psi_gram_closed_form(r: int, vectors: Sequence[Sequence[int]]) -> RationalMa
     positive semidefinite of rank equal to the span of the cycles.
     ``vectors`` are checked as in ``mapping_torus_boundary_map``.
     """
-    _check_vectors(r, vectors)
+    _torus_space(r, vectors)
     return RationalMatrix._from_rows(r, 1, _gram_rows(r, vectors))
 
 

@@ -77,10 +77,11 @@ MUTANTS = [
            '        _check_int(self.r, "boundary count parameter r")\n\n    def class_vector',
            '        _check_int(self.r, "boundary count parameter r", -1)\n\n    def class_vector',
            "test_surfaces.py"),
+    # The one check of r for the boundary map and both closed forms.
     mutant("check-int-site-torus-space-r", "surfaces.py",
            '        _check_int(self.r, "boundary count parameter r")\n\n    @property',
            '        _check_int(self.r, "boundary count parameter r", -1)\n\n    @property',
-           "test_surfaces.py"),
+           "test_surfaces.py", "test_wall.py"),
     mutant("check-int-site-m-index", "surfaces.py",
            '        _check_int(i, "torus index", 0, self.r)\n        return 2 * i\n',
            '        _check_int(i, "torus index", 0, self.r + 1)\n        return 2 * i\n',
@@ -89,10 +90,6 @@ MUTANTS = [
            '        _check_int(i, "torus index", 0, self.r)\n        return 2 * i + 1\n',
            '        _check_int(i, "torus index", -1, self.r)\n        return 2 * i + 1\n',
            "test_surfaces.py"),
-    mutant("check-int-site-cycle-vectors-r", "wall.py",
-           '    _check_int(r, "boundary count parameter r")',
-           '    _check_int(r, "boundary count parameter r", -1)',
-           "test_wall.py"),
     mutant("check-int-site-family-y1", "fibration.py",
            '    _check_int(r, "family parameter r", 2)\n    surface = PlanarSurface(r + 1)\n'
            "    cycles = [CurveClass.enclosing(pair)",
@@ -152,12 +149,20 @@ MUTANTS = [
            "        return EXIT_OK",
            "test_cli.py"),
     mutant("document-accepts-non-bool-force", "cli.py",
-           "        if not isinstance(force, bool):",
+           "        if not isinstance(doc_force, bool):",
            "        if False:",
            "test_cli.py"),
     mutant("cycle-accepts-non-list", "cli.py",
            "        if not isinstance(raw, list):",
            "        if False:",
+           "test_cli.py"),
+    mutant("load-document-drops-the-cli-force", "cli.py",
+           "    return FibrationDocument.from_obj(obj, force)",
+           "    return FibrationDocument.from_obj(obj)",
+           "test_cli.py"),
+    mutant("echo-writes-the-fibration-force", "cli.py",
+           '"force_non_allowable": self.force,',
+           '"force_non_allowable": self.fibration.force,',
            "test_cli.py"),
     mutant("table-without-empty-marker", "cli.py",
            '        if not grid or not grid[0]:\n            out.append("  (empty)")\n'
@@ -362,6 +367,10 @@ MUTANTS = [
            "        if sol is None:\n            raise RuntimeError(",
            "        if sol is None:\n            continue\n            raise RuntimeError(",
            "test_wall.py"),
+    mutant("lplus-closed-form-minus-one-at-l-one", "wall.py",
+           "        gen[space.l_index(0)] = -1",
+           "        gen[space.l_index(1)] = -1",
+           "test_wall.py"),
     mutant("cycle-vectors-no-length-check", "wall.py",
            "        if len(x) != r:",
            "        if False:",
@@ -370,7 +379,11 @@ MUTANTS = [
            "        if set(map(type, x)) - {int}:",
            "        if set(map(type, x)) - {int, bool}:",
            "test_wall.py"),
-    # The fuzz battery.
+    # The closed-form span rank, and the fuzz battery.
+    mutant("span-dim-one-too-large", "fibration.py",
+           "        return self.cycle_matrix().rank()",
+           "        return self.cycle_matrix().rank() + 1",
+           "test_cli.py"),
     mutant("proper-subset-accepts-r-zero", "properties.py",
            "    if r < 1:\n        raise ValueError",
            "    if r < 0:\n        raise ValueError",

@@ -16,7 +16,7 @@ from planarsig.cli import DocumentError, _json_text, _matrix_strings, load_docum
 from planarsig.fibration import PlanarFibration
 from planarsig.linalg import RationalMatrix, Subspace
 from planarsig.properties import CHECK_NAMES, check_fibration, random_fibration
-from planarsig.surfaces import CurveClass, PlanarSurface
+from planarsig.surfaces import CurveClass, NonAllowableCycleError, PlanarSurface
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -28,6 +28,9 @@ THREE_CYCLES_DOC = {
         {"encloses": [1, 2]},
     ],
 }
+
+# A null-homologous first cycle: computed only under --force.
+FORCED_DOC = json.loads((GOLDEN / "forced_r2.json").read_text())
 
 
 def run_compute(capsys, doc, *flags):
@@ -343,6 +346,17 @@ class TestValidation:
                 {"boundary_components": 3, "force_non_allowable": "yes"},
                 "error: force_non_allowable: must be a boolean\n",
             ),
+            # The flag's type is checked before null homology (exit 3),
+            # and after the shape and fit of every cycle.
+            (
+                {**FORCED_DOC, "force_non_allowable": 1},
+                "error: force_non_allowable: must be a boolean\n",
+            ),
+            (
+                {"boundary_components": 3, "vanishing_cycles": [{"class": [0]}],
+                 "force_non_allowable": 1},
+                "error: vanishing_cycles[0].class: ",
+            ),
         ],
     )
     def test_invalid_documents_exit_two(self, capsys, feed_stdin, payload, fragment):
@@ -443,6 +457,28 @@ class TestValidation:
         feed_stdin(doc)
         assert main(["compute", "-"]) == 0
 
+    def test_forced_report_matches_golden_file(self, capsys, feed_stdin):
+        # The echo keeps the document's own flag, false here, although
+        # --force lets the null-homologous cycle through.
+        feed_stdin(FORCED_DOC)
+        code, out = run_compute(capsys, FORCED_DOC, "--force")
+        assert code == 0
+        assert out == (GOLDEN / "forced_r2_report.json").read_text()
+
+
+class TestLoadDocument:
+    def test_null_homologous_cycle_raises_with_its_index(self):
+        with pytest.raises(NonAllowableCycleError) as info:
+            load_document(json.dumps(FORCED_DOC))
+        assert info.value.index == 0
+
+    def test_force_lets_the_cycle_through_and_echoes_the_document_flag(self):
+        doc = load_document(json.dumps(FORCED_DOC), force=True)
+        assert doc.force is False
+        assert doc.fibration.force is True
+        assert doc.fibration.allowable is False
+        assert doc.echo()["force_non_allowable"] is False
+
 
 DOCUMENT_KEYS = (
     "boundary_components",
@@ -461,13 +497,15 @@ json_values = st.recursive(
 
 
 class TestLoadDocumentProperty:
-    """Whatever the input, ``load_document`` returns or raises DocumentError."""
+    """Whatever the input, ``load_document`` returns, raises
+    DocumentError, or raises NonAllowableCycleError for a valid document
+    with a null-homologous cycle."""
 
     @staticmethod
     def load_or_reject(text):
         try:
             load_document(text)
-        except DocumentError:
+        except (DocumentError, NonAllowableCycleError):
             pass
 
     @settings(max_examples=150, deadline=None)
@@ -587,8 +625,8 @@ class TestFuzz:
         # orientation of cycles whose enclosed set held circle 0.
         r, vectors = seen[1]
         doc = load_document(json.dumps(failure["document"]))
-        assert doc.surface.r == r
-        reloaded = doc.to_fibration().class_vectors()
+        assert doc.fibration.surface.r == r
+        reloaded = doc.fibration.class_vectors()
         assert len(reloaded) == len(vectors)
         for v, w in zip(reloaded, vectors):
             assert v in (w, tuple(-x for x in w))

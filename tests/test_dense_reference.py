@@ -538,7 +538,7 @@ def test_meet_leaves_both_operands_equations_unchanged(seed):
 def test_meridians_meet_longitudes_with_every_column_pinned():
     # In the standard triple, L- and L0 are cut out by one-entry rows
     # that together pin every coordinate, and their meet keeps them.
-    fib = load_document((GOLDEN / "wide_r32_m2.json").read_text()).to_fibration()
+    fib = load_document((GOLDEN / "wide_r32_m2.json").read_text()).fibration
     triple = standard_triple(fib.boundary_map())
     n = triple.space.dim
     meet = triple.l_minus & triple.l_zero
@@ -875,7 +875,7 @@ def test_wall_correction_matches_dense_psi(seed):
 
 @pytest.mark.parametrize("name", ["large_r16_m80", "wide_r32_m2"])
 def test_wall_correction_matches_dense_psi_at_benchmark_sizes(name):
-    fib = load_document((GOLDEN / f"{name}.json").read_text()).to_fibration()
+    fib = load_document((GOLDEN / f"{name}.json").read_text()).fibration
     got = check_psi(*standard_generators(fib.surface.r, fib.class_vectors()))
     assert got.w_dim == fib.cycle_span_dim()
 
@@ -989,7 +989,7 @@ def test_wall_correction_is_cyclic(move):
     if move:
         assert any(n_minus > 0 for _, n_minus, _ in corrections), corrections
     else:
-        fib = load_document((GOLDEN / "large_r16_m80.json").read_text()).to_fibration()
+        fib = load_document((GOLDEN / "large_r16_m80.json").read_text()).fibration
         triple = standard_triple(fib.boundary_map())
         got = check_cyclic(triple.space, [triple.l_minus, triple.l_zero, triple.l_plus])
         assert got.correction == (fib.cycle_span_dim(), 0, 0)
@@ -1021,4 +1021,4 @@ def test_rotated_psi_is_the_cycle_gram_matrix():
     rng = random.Random(1100)
     for _ in range(120):
         check_rotated_psi(random_fibration(rng, 6, 25))
-    check_rotated_psi(load_document((GOLDEN / "large_r16_m80.json").read_text()).to_fibration())
+    check_rotated_psi(load_document((GOLDEN / "large_r16_m80.json").read_text()).fibration)

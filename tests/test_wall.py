@@ -398,5 +398,5 @@ def test_psi_inertia_stays_within_the_hadamard_bound(monkeypatch):
     for _ in range(400):
         check_psi_inertia_within_hadamard_bound(random_fibration(rng, 8, 30), monkeypatch)
     for name in ("large_r16_m80", "scale_r40_m200"):
-        fib = load_document((GOLDEN / f"{name}.json").read_text()).to_fibration()
+        fib = load_document((GOLDEN / f"{name}.json").read_text()).fibration
         check_psi_inertia_within_hadamard_bound(fib, monkeypatch)
