@@ -54,13 +54,17 @@ EXIT_NON_ALLOWABLE = 3
 EXIT_ORACLE_DISAGREEMENT = 4
 
 
-class DocumentError(ValueError):
-    """Invalid input to a command; the message starts with the
-    offending field path when there is one.  ``main`` reports it with
-    exit code 2."""
+# The built-in families: each name's builder and closed-form signature.
+FAMILIES = {"y1": (family_y1, expected_sigma_y1), "y2": (family_y2, expected_sigma_y2)}
 
-    def __init__(self, message: str, field: str = ""):
-        super().__init__(f"{field}: {message}" if field else message)
+# The two keys a cycle may have, and the curve each one builds.
+CURVE_KINDS = {"encloses": CurveClass.enclosing, "class": CurveClass.explicit}
+
+
+class DocumentError(ValueError):
+    """Invalid input to a command.  ``main`` reports it with exit code
+    2; each raise that has an offending field writes its path at the
+    start of the message, as ``"{field}: ..."``."""
 
 
 @dataclass
@@ -86,25 +90,23 @@ class FibrationDocument:
         allowed = {"boundary_components", "vanishing_cycles", "force_non_allowable"}
         for key in obj:
             if key not in allowed:
-                raise DocumentError(f"unknown key {key!r}", field=key)
+                raise DocumentError(f"{key}: unknown key {key!r}")
 
         n = obj.get("boundary_components")
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise DocumentError(
-                "must be an integer >= 1", field="boundary_components"
-            )
+            raise DocumentError("boundary_components: must be an integer >= 1")
         surface = PlanarSurface(n - 1)
 
         raw_cycles = obj.get("vanishing_cycles", [])
         if not isinstance(raw_cycles, list):
-            raise DocumentError("must be a list", field="vanishing_cycles")
+            raise DocumentError("vanishing_cycles: must be a list")
         cycles = [
             cls._parse_cycle(item, i, surface) for i, item in enumerate(raw_cycles)
         ]
 
         doc_force = obj.get("force_non_allowable", False)
         if not isinstance(doc_force, bool):
-            raise DocumentError("must be a boolean", field="force_non_allowable")
+            raise DocumentError("force_non_allowable: must be a boolean")
         return cls(PlanarFibration(surface, cycles, force=doc_force or force), doc_force)
 
     @staticmethod
@@ -112,23 +114,20 @@ class FibrationDocument:
         """Check the JSON shape of one cycle; the library checks the curve."""
         where = f"vanishing_cycles[{index}]"
         if not isinstance(item, dict):
-            raise DocumentError("must be an object", field=where)
-        if set(item) not in ({"encloses"}, {"class"}):
+            raise DocumentError(f"{where}: must be an object")
+        if len(item) != 1 or not item.keys() <= CURVE_KINDS.keys():
             raise DocumentError(
-                'must have exactly one of the keys "encloses" or "class"', field=where
+                f'{where}: must have exactly one of the keys "encloses" or "class"'
             )
         ((key, raw),) = item.items()
         field = f"{where}.{key}"
         if not isinstance(raw, list):
-            raise DocumentError("must be a list of integers", field=field)
+            raise DocumentError(f"{field}: must be a list of integers")
         try:
-            if key == "class":
-                curve = CurveClass.explicit(raw)
-            else:
-                curve = CurveClass.enclosing(raw)
+            curve = CURVE_KINDS[key](raw)
             surface.class_vector(curve)
         except ValueError as e:
-            raise DocumentError(str(e), field=field) from None
+            raise DocumentError(f"{field}: {e}") from None
         return curve
 
     def echo(self) -> dict:
@@ -174,9 +173,8 @@ def _matrix_strings(M: RationalMatrix, field: str) -> list[list[str]]:
         return M.entry_strings()
     except ValueError:
         raise DocumentError(
-            "an entry has more digits than Python's limit of "
-            f"{sys.get_int_max_str_digits()} for printing an integer",
-            field=field,
+            f"{field}: an entry has more digits than Python's limit of "
+            f"{sys.get_int_max_str_digits()} for printing an integer"
         ) from None
 
 
@@ -317,10 +315,8 @@ def cmd_compute(args) -> int:
 def cmd_examples(args) -> int:
     if args.r < 2:
         raise DocumentError("--r must be >= 2 for the built-in families")
-    if args.family == "y1":
-        fib, expected = family_y1(args.r), expected_sigma_y1(args.r)
-    else:
-        fib, expected = family_y2(args.r), expected_sigma_y2(args.r)
+    family, expected_sigma = FAMILIES[args.family]
+    fib, expected = family(args.r), expected_sigma(args.r)
     report = assemble_report(FibrationDocument(fib))
     if args.format == "table":
         text = (
@@ -420,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.set_defaults(func=cmd_compute)
 
     examples = sub.add_parser("examples", help="generate a built-in family")
-    examples.add_argument("--family", choices=("y1", "y2"), required=True)
+    examples.add_argument("--family", choices=tuple(FAMILIES), required=True)
     examples.add_argument("--r", type=int, required=True, help="family parameter, >= 2")
     examples.add_argument(
         "--format", choices=("json", "table"), default="json", help="output format"

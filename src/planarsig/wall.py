@@ -157,9 +157,12 @@ class MappingTorusBoundaryMap:
     The columns satisfy: m_0 maps to -(m_1 + ... + m_r), m_j to m_j,
     l_0 to l_0, and l_j (j >= 1) to l_0 minus the twist defect
     sum_s Q(gamma_s, l_j) * gamma_s.
+
+    The map carries ``space``, the boundary tori whose coordinates
+    index its columns; r is ``space.r``.
     """
 
-    r: int
+    space: TorusBoundarySpace
     matrix: RationalMatrix
 
 
@@ -213,15 +216,16 @@ def mapping_torus_boundary_map(
                 if y:
                     rows[i][k] = y
     matrix = RationalMatrix._from_rows(space.dim, 1, rows)
-    return MappingTorusBoundaryMap(r=r, matrix=matrix)
+    return MappingTorusBoundaryMap(space=space, matrix=matrix)
 
 
 def lplus_kernel(bmap: MappingTorusBoundaryMap) -> Subspace:
     """Kernel of the boundary map; always of dimension r + 1."""
     kernel = bmap.matrix.kernel()
-    if kernel.dim != bmap.r + 1:
+    expected = bmap.space.r + 1
+    if kernel.dim != expected:
         raise RuntimeError(
-            f"boundary map kernel has dimension {kernel.dim}, expected {bmap.r + 1}; "
+            f"boundary map kernel has dimension {kernel.dim}, expected {expected}; "
             "this cannot happen for a boundary map and indicates a bug"
         )
     return kernel
@@ -258,10 +262,11 @@ def standard_triple(bmap: MappingTorusBoundaryMap) -> WallTriple:
 
     L- is spanned by the meridians m_0..m_r (they bound disks on the
     outer piece), L0 by the longitudes l_0..l_r, and L+ is the kernel
-    of the mapping torus boundary map.
+    of the mapping torus boundary map.  The triple lives in the map's
+    own ``space``.
     """
-    r = bmap.r
-    space = TorusBoundarySpace(r)
+    space = bmap.space
+    r = space.r
 
     def unit(k: int) -> list[int]:
         v = [0] * space.dim

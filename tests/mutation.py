@@ -169,6 +169,19 @@ MUTANTS = [
            "            return out\n",
            "",
            "test_cli.py"),
+    # The word lists of the command line, each stated once.
+    mutant("families-pair-y1-with-the-y2-closed-form", "cli.py",
+           '"y1": (family_y1, expected_sigma_y1)',
+           '"y1": (family_y1, expected_sigma_y2)',
+           "test_cli.py"),
+    mutant("curve-kinds-swapped", "cli.py",
+           '{"encloses": CurveClass.enclosing, "class": CurveClass.explicit}',
+           '{"encloses": CurveClass.explicit, "class": CurveClass.enclosing}',
+           "test_cli.py"),
+    mutant("cycle-library-message-without-field", "cli.py",
+           'raise DocumentError(f"{field}: {e}")',
+           "raise DocumentError(str(e))",
+           "test_cli.py"),
     # Forward elimination (_eliminate and _clear).
     mutant("eliminate-buckets-a-row-at-the-limit", "linalg.py",
            "            if c < limit:",
@@ -197,7 +210,7 @@ MUTANTS = [
     mutant("clear-takes-no-content", "linalg.py",
            "            del row[j]\n    _divide_content(row)\n",
            "            del row[j]\n",
-           DENSE),
+           DENSE, "test_cost.py"),
     mutant("content-division-skips-two", "linalg.py",
            "    if g > 1:\n        for j in row:\n            row[j] //= g",
            "    if g > 2:\n        for j in row:\n            row[j] //= g",
@@ -312,7 +325,7 @@ MUTANTS = [
     mutant("inertia-takes-no-content", "linalg.py",
            "        if content > 1:",
            "        if False:",
-           "test_wall.py"),
+           "test_wall.py", "test_cost.py"),
     mutant("inertia-zero-diagonal-path-skipped", "linalg.py",
            "            if spot is None:\n                break",
            "            if True:\n                break",
@@ -378,6 +391,10 @@ MUTANTS = [
     mutant("cycle-vectors-let-bools-through", "wall.py",
            "        if set(map(type, x)) - {int}:",
            "        if set(map(type, x)) - {int, bool}:",
+           "test_wall.py"),
+    mutant("lplus-kernel-expects-r-plus-two", "wall.py",
+           "    expected = bmap.space.r + 1",
+           "    expected = bmap.space.r + 2",
            "test_wall.py"),
     # The closed-form span rank, and the fuzz battery.
     mutant("span-dim-one-too-large", "fibration.py",

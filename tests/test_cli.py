@@ -16,7 +16,12 @@ from planarsig.cli import DocumentError, _json_text, _matrix_strings, load_docum
 from planarsig.fibration import PlanarFibration
 from planarsig.linalg import RationalMatrix, Subspace
 from planarsig.properties import CHECK_NAMES, check_fibration, random_fibration
-from planarsig.surfaces import CurveClass, NonAllowableCycleError, PlanarSurface
+from planarsig.surfaces import (
+    CurveClass,
+    NonAllowableCycleError,
+    PlanarSurface,
+    TorusBoundarySpace,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -195,6 +200,19 @@ class TestCompute:
             "8567da904937d2bb5646a5b5c3ef77e218a0069b58fe9e22b6984bedf532fe48"
         )
 
+    def test_one_torus_space_per_report(self, capsys, feed_stdin, monkeypatch):
+        # The boundary map carries its tori, and the standard triple
+        # takes them from it instead of building them again.
+        built = []
+        check = TorusBoundarySpace.__post_init__
+        monkeypatch.setattr(
+            TorusBoundarySpace, "__post_init__", lambda self: built.append(check(self))
+        )
+        feed_stdin((GOLDEN / "large_r16_m80.json").read_text())
+        assert main(["compute", "-"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "large_r16_m80_report.json").read_text()
+        assert len(built) == 1
+
     def test_explicit_class_vectors(self, capsys, feed_stdin):
         doc = {
             "boundary_components": 3,
@@ -364,6 +382,48 @@ class TestValidation:
         assert main(["compute", "-"]) == 2
         err = capsys.readouterr().err
         assert fragment in err
+
+    @pytest.mark.parametrize(
+        "payload, line",
+        [
+            ([1, 2], "document must be a JSON object"),
+            ({"boundary_components": 3, "vanishing_cycles": [], "bogus": 1},
+             "bogus: unknown key 'bogus'"),
+            ({"boundary_components": 0}, "boundary_components: must be an integer >= 1"),
+            ({"boundary_components": 3, "vanishing_cycles": {}},
+             "vanishing_cycles: must be a list"),
+            ({"boundary_components": 3, "vanishing_cycles": [7]},
+             "vanishing_cycles[0]: must be an object"),
+            ({"boundary_components": 3, "vanishing_cycles": [{}]},
+             'vanishing_cycles[0]: must have exactly one of the keys "encloses" or "class"'),
+            ({"boundary_components": 3, "vanishing_cycles": [{"encloses": [1], "class": [1, 0]}]},
+             'vanishing_cycles[0]: must have exactly one of the keys "encloses" or "class"'),
+            ({"boundary_components": 3, "vanishing_cycles": [{"bogus": [1]}]},
+             'vanishing_cycles[0]: must have exactly one of the keys "encloses" or "class"'),
+            # The document's integers are within Python's digit limit,
+            # but Psi holds their squares, which are not.
+            ({"boundary_components": 3, "vanishing_cycles": [{"class": [10**2200, 0]}]},
+             "wall.psi_matrix: an entry has more digits than Python's limit of "
+             f"{sys.get_int_max_str_digits()} for printing an integer"),
+        ],
+        ids=[
+            "not-an-object",
+            "unknown-key",
+            "bad-boundary-components",
+            "cycles-not-a-list",
+            "cycle-not-an-object",
+            "cycle-without-keys",
+            "cycle-with-both-keys",
+            "cycle-with-other-key",
+            "report-entry-past-digit-limit",
+        ],
+    )
+    def test_invalid_document_error_line(self, capsys, feed_stdin, payload, line):
+        feed_stdin(payload)
+        assert main(["compute", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {line}\n"
 
     @pytest.mark.parametrize(
         "key, entries",
@@ -540,6 +600,15 @@ class TestExamples:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --r must be >= 2 for the built-in families\n"
+
+    def test_unknown_family_rejected_by_the_parser(self, capsys):
+        # argparse words the message differently across Python versions,
+        # so only the exit code and the names of the families are pinned.
+        with pytest.raises(SystemExit) as info:
+            main(["examples", "--family", "y3", "--r", "3"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "y1" in err and "y2" in err
 
     def test_families_report_equal_boundary_maps(self, capsys):
         main(["examples", "--family", "y1", "--r", "3"])
