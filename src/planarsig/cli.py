@@ -26,6 +26,7 @@ returned had the reader kept reading.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -413,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="accept null-homologous cycles (results lie outside the "
         "range where the signature formula is established)",
     )
-    compute.set_defaults(func=cmd_compute)
 
     examples = sub.add_parser("examples", help="generate a built-in family")
     examples.add_argument("--family", choices=tuple(FAMILIES), required=True)
@@ -421,24 +421,31 @@ def build_parser() -> argparse.ArgumentParser:
     examples.add_argument(
         "--format", choices=("json", "table"), default="json", help="output format"
     )
-    examples.set_defaults(func=cmd_examples)
 
     fuzz = sub.add_parser("fuzz", help="run the invariant battery on random inputs")
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--count", type=int, default=100)
     fuzz.add_argument("--max-r", type=int, default=4, dest="max_r")
     fuzz.add_argument("--max-m", type=int, default=10, dest="max_m")
-    fuzz.set_defaults(func=cmd_fuzz)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing leaves
+    no state on it."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     """Run one command.  The commands raise on bad input, and this is
     the one place that reports it: one ``error:`` line on stderr and
     exit code 2, or 3 for a null-homologous cycle."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up on each call, so a replaced module attribute is the one run.
+    command = {"compute": cmd_compute, "examples": cmd_examples, "fuzz": cmd_fuzz}
     try:
-        return args.func(args)
+        return command[args.command](args)
     except DocumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

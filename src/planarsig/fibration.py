@@ -54,7 +54,7 @@ class PlanarFibration:
         if not isinstance(self.force, bool):
             raise ValueError(f"force must be a bool, not {self.force!r}")
         # class_vector validates each curve's shape and range.
-        vectors = tuple(self.surface.class_vector(c) for c in self.cycles)
+        vectors = tuple([self.surface.class_vector(c) for c in self.cycles])
         if not self.force:
             for i, v in enumerate(vectors):
                 if not any(v):

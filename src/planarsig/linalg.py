@@ -54,6 +54,13 @@ Vector = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 _EXACT = {int, Fraction}
 
+# Star-args and tuples on the report path are built from lists, as in
+# ``lcm(*[d for d in ds])``, never from generators.  CPython turns an
+# iterable of unknown length into a tuple by taking a 10-slot tuple from
+# its free lists and resizing it, so when freed it joins the free list of
+# another size; every op then drains one list and fills another, and the
+# blocks stay held until a full collection clears the lists.
+
 
 def _refuse_non_integers(entries: Sequence, what: str) -> None:
     """Raise ValueError, naming the first entry that is not an int;
@@ -96,7 +103,7 @@ def integer_row(row: Sequence) -> tuple[int, dict[int, int]]:
     Entries are ints or Fractions; an all-zero row gives ``(1, {})``.
     """
     columns = list(compress(range(len(row)), row))
-    scale = lcm(*(row[j].denominator for j in columns))
+    scale = lcm(*[row[j].denominator for j in columns])
     if scale == 1:
         return 1, {j: row[j].numerator for j in columns}
     return scale, {j: row[j].numerator * (scale // row[j].denominator) for j in columns}
@@ -208,7 +215,7 @@ class RationalMatrix:
             n_cols = width
         elif n_cols is None:
             n_cols = 0
-        den = lcm(*(x.denominator for row in data for x in row))
+        den = lcm(*[x.denominator for row in data for x in row])
         rows = [
             {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
             for row in data
@@ -228,7 +235,7 @@ class RationalMatrix:
     def _store(self, n_cols: int, den: int, rows: list[dict[int, int]]) -> None:
         """Set the fields, with the gcd of den and every entry divided out."""
         if den != 1:
-            g = gcd(den, *(x for row in rows for x in row.values()))
+            g = gcd(den, *[x for row in rows for x in row.values()])
             if g > 1:
                 den //= g
                 rows = [{j: x // g for j, x in row.items()} for row in rows]
@@ -395,7 +402,7 @@ def _solved_rows(columns: Iterable[int], pivots: Sequence[int],
                 terms[j].append((p, x, d))
     out = []
     for j, entries in terms.items():
-        scale = lcm(*(d for _, _, d in entries))
+        scale = lcm(*[d for _, _, d in entries])
         row = {j: scale}
         for p, x, d in entries:
             row[p] = -x * (scale // d)

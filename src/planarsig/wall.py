@@ -118,8 +118,8 @@ def wall_correction(triple: WallTriple) -> WallCorrection:
     # Psi over S T, S the lcm of the s_i and T of the s_j t_j, has the
     # integer entries Q(A_i, B_j) (S / s_i) (T / (s_j t_j)).
     pair = triple.space.pair
-    S = lcm(*(s for s, _ in dense))
-    T = lcm(*(st for st, _ in b_parts))
+    S = lcm(*[s for s, _ in dense])
+    T = lcm(*[st for st, _ in b_parts])
     rows = []
     for s, A in dense:
         row = {}

@@ -116,6 +116,10 @@ MUTANTS = [
            "test_surfaces.py"),
     # cli.main, the one place that maps input errors to exit codes, and
     # the commands that raise into it.
+    mutant("main-builds-parser-per-call", "cli.py",
+           "    args = _parser().parse_args(argv)",
+           "    args = build_parser().parse_args(argv)",
+           "test_cli.py"),
     mutant("main-invalid-exit-code", "cli.py",
            "        print(f\"error: {e}\", file=sys.stderr)\n        return EXIT_INVALID",
            "        print(f\"error: {e}\", file=sys.stderr)\n        return EXIT_FUZZ_FAILURE",
@@ -266,13 +270,19 @@ MUTANTS = [
            "            row[p] = -x * (scale // d)",
            "            row[p] = x * (scale // d)",
            DENSE),
+    # The same output, from a tuple built from a generator: each call moves
+    # a block between CPython's tuple free lists.
+    mutant("solved-rows-lcm-from-generator", "linalg.py",
+           "        scale = lcm(*[d for _, _, d in entries])",
+           "        scale = lcm(*(d for _, _, d in entries))",
+           "test_free_lists.py"),
     # The Fraction edge: vector and integer_row.
     mutant("vector-accepts-floats", "linalg.py",
            "            if isinstance(x, float):",
            "            if isinstance(x, complex):",
            DENSE, "test_linalg.py"),
     mutant("integer-row-first-denominator", "linalg.py",
-           "    scale = lcm(*(row[j].denominator for j in columns))",
+           "    scale = lcm(*[row[j].denominator for j in columns])",
            "    scale = row[columns[0]].denominator if columns else 1",
            DENSE),
     # solve_many.

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planarsig import fibration, properties, wall
+from planarsig import cli, fibration, properties, wall
 from planarsig.cli import DocumentError, _json_text, _matrix_strings, load_document, main
 from planarsig.fibration import PlanarFibration
 from planarsig.linalg import RationalMatrix, Subspace
@@ -892,3 +892,66 @@ class TestEntryPoint:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 0
         assert err == b""
+
+
+class TestParser:
+    """``main`` builds its parser once per process and keeps no state on it."""
+
+    def test_built_once_for_every_command(self, capsys, feed_stdin, monkeypatch):
+        builds = []
+        build = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            feed_stdin(THREE_CYCLES_DOC)
+            assert main(["compute", "-"]) == 0
+            assert main(["examples", "--family", "y1", "--r", "3"]) == 0
+            assert main(["fuzz", "--count", "1"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        capsys.readouterr()
+        assert builds == [1]
+
+    def test_defaults_after_a_run_with_every_option(self, capsys):
+        assert main(["fuzz", "--seed", "5", "--count", "1", "--max-r", "3"]) == 0
+        capsys.readouterr()
+        assert main(["fuzz", "--count", "0"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["seed"], summary["max_r"], summary["max_m"]) == (0, 4, 10)
+
+    # argparse words its help differently across Python versions, so the
+    # cached parser is compared with a fresh one in the same interpreter.
+    @pytest.mark.parametrize(
+        "argv, code, stream",
+        [
+            (["--help"], 0, "out"),
+            (["compute", "--help"], 0, "out"),
+            (["fuzz", "--help"], 0, "out"),
+            (["compute", "--format", "xml"], 2, "err"),
+        ],
+        ids=["help", "compute-help", "fuzz-help", "usage-error"],
+    )
+    def test_help_and_usage_match_a_fresh_parser(
+        self, capsys, feed_stdin, monkeypatch, argv, code, stream
+    ):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def printed(parse):
+            with pytest.raises(SystemExit) as info:
+                parse(argv)
+            assert info.value.code == code
+            return getattr(capsys.readouterr(), stream)
+
+        for _ in range(3):
+            feed_stdin(THREE_CYCLES_DOC)
+            assert main(["compute", "-"]) == 0
+            assert main(["fuzz", "--count", "1"]) == 0
+            printed(main)
+        expected = printed(cli.build_parser().parse_args)
+        assert expected.startswith("usage: planarsig")
+        assert printed(main) == expected
