@@ -73,10 +73,16 @@ class PlanarFibration:
         return list(self._vectors)
 
     def cycle_matrix(self) -> RationalMatrix:
-        """r x m matrix whose s-th column is the class of cycle s."""
-        return RationalMatrix(self._vectors, n_cols=self.surface.r).transpose()
+        """r x m matrix whose s-th column is the class of cycle s, built
+        from its r rows."""
+        rows = zip(*self._vectors) if self._vectors else [()] * self.surface.r
+        return RationalMatrix(rows, n_cols=self.m)
 
     def cycle_span_dim(self) -> int:
+        """Rank of the cycle matrix, eliminated over the rows of whichever
+        of it and its transpose has fewer rows."""
+        if self.m < self.surface.r:
+            return RationalMatrix(self._vectors, n_cols=self.surface.r).rank()
         return self.cycle_matrix().rank()
 
     def signature_from_cycle_span(self) -> int:

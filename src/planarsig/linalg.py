@@ -20,15 +20,19 @@ primitive integer rows, and every operation works on them, so integers
 pass from one elimination to the next.  There is one forward
 elimination, ``_eliminate``, made of ``_clear`` steps; ``_rref`` adds
 back substitution of rows for the canonical rows of spans, kernels and
-meets, and ``solve_many`` back substitution of values.
+meets, unless its pivot rows hold no other column, and ``solve_many``
+back substitution of values.
 
 Kernels and meets are null spaces (``_null_space``).  A one-entry
 equation pins its column to zero, so pinned columns leave the system
 before it is eliminated; the meridian and longitude subspaces of the
 standard triple are cut out by such equations alone.  A subspace keeps
 the equations it was cut out by, or builds them once when first met,
-so a subspace met several times, or a kernel, whose RREF rows already
-are its equations, does not rebuild them.
+so a subspace met several times, or a kernel or meet, which keeps the
+rows it was solved from as its equations, does not rebuild them.  The
+kernel L+ of the standard triple thus keeps the boundary map's own
+rows, whose meridian parts are m_{i+1} - m_0: met with L-, whose
+equations pin every longitude, they are already in echelon form.
 
 Entries cross the edge by one rule each way.  ``vector`` coerces what
 comes in: ``RationalMatrix(...)``, ``Subspace(...)``, ``in``,
@@ -215,11 +219,15 @@ class RationalMatrix:
             n_cols = width
         elif n_cols is None:
             n_cols = 0
-        den = lcm(*[x.denominator for row in data for x in row])
-        rows = [
-            {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
-            for row in data
-        ]
+        # Int rows are their own integer rows over the denominator 1.
+        if {type(x) for row in data for x in row} <= {int}:
+            den, rows = 1, [{j: row[j] for j in compress(range(n_cols), row)} for row in data]
+        else:
+            den = lcm(*[x.denominator for row in data for x in row])
+            rows = [
+                {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
+                for row in data
+            ]
         self._store(n_cols, den, rows)
 
     @classmethod
@@ -349,6 +357,13 @@ def _rref(work: list[dict[int, int]], n: int) -> tuple[list[int], list[dict[int,
     ends as the unique primitive row of the span with its lead at its
     pivot and zeros at the other pivots, whichever pivot rows the
     forward pass took; a sign flip makes its lead positive.
+
+    Back substitution is skipped when the pivot rows hold no column but
+    the pivots.  The span of the rows then lies on the pivot columns
+    and has their number as its dimension, so it is the whole
+    coordinate space on them, and the row of pivot p is {p: 1}.  The
+    sum L0 + L+ of the standard triple is such a span whenever the
+    cycle classes span the fiber's first homology, Q^r.
     """
     units = {next(iter(row)) for row in work if len(row) == 1}
     if units:
@@ -365,13 +380,16 @@ def _rref(work: list[dict[int, int]], n: int) -> tuple[list[int], list[dict[int,
                 rest.append(row)
         work = rest
     pivots, rows, _ = _eliminate(work, n)
-    where = dict(zip(pivots, rows))
-    for p, row in zip(pivots[-2::-1], rows[-2::-1]):
-        _reduce(row, [(c, where[c]) for c in row if c != p and c in where])
-    for p, row in zip(pivots, rows):
-        if row[p] < 0:
-            for j in row:
-                row[j] = -row[j]
+    if len(set().union(*rows)) == len(pivots):
+        rows = [{p: 1} for p in pivots]
+    else:
+        where = dict(zip(pivots, rows))
+        for p, row in zip(pivots[-2::-1], rows[-2::-1]):
+            _reduce(row, [(c, where[c]) for c in row if c != p and c in where])
+        for p, row in zip(pivots, rows):
+            if row[p] < 0:
+                for j in row:
+                    row[j] = -row[j]
     if units:
         merged = sorted([*zip(pivots, rows), *((j, {j: 1}) for j in units)])
         pivots = [p for p, _ in merged]
@@ -431,8 +449,8 @@ def _null_space(rows: Sequence[dict[int, int]], n_cols: int) -> "Subspace":
     every other free column and at every pinned one.  Taken in
     increasing f over the columns not pinned, these vectors already are
     the canonical basis (``_solved_rows``); no second elimination is
-    needed.  The RREF rows and the unit rows of the pinned columns are
-    the equations kept.
+    needed.  The equations kept are ``rows`` themselves: their common
+    null space is the subspace by definition, and nothing mutates them.
     """
     pinned = {next(iter(row)) for row in rows if len(row) == 1}
     last = n_cols - 1
@@ -447,8 +465,7 @@ def _null_space(rows: Sequence[dict[int, int]], n_cols: int) -> "Subspace":
     pivots = [last - c for c in reversed_pivots]
     echelon = [{last - c: x for c, x in w.items()} for w in reduced]
     columns = [j for j in range(n_cols) if j not in pinned]
-    equations = echelon + [{j: 1} for j in pinned]
-    return Subspace._from_rows(n_cols, *_solved_rows(columns, pivots, echelon), equations)
+    return Subspace._from_rows(n_cols, *_solved_rows(columns, pivots, echelon), rows)
 
 
 def solve_many(M: RationalMatrix,
@@ -601,13 +618,14 @@ class Subspace:
         """Integer rows whose common null space is this subspace, built
         at most once and kept in ``_eqs``; callers only read them.
 
-        A kernel or meet keeps the equations its null space was solved
-        from (see ``_null_space``): the RREF rows and the pinned unit
-        rows.  Otherwise, with canonical basis vectors b_t and pivots
-        p_t, a vector x lies in the span iff x = sum_t x[p_t] b_t, that
-        is iff x[j] - sum_t b_t[j] x[p_t] = 0 at every non-pivot
-        coordinate j; one row per such j, cleared of denominators
-        (``_solved_rows``).  A coordinate subspace gets one-entry rows.
+        A kernel or meet keeps the rows its null space was solved from
+        (see ``_null_space``): a kernel its matrix's primitive rows, a
+        meet both operands' equations.  Otherwise, with canonical basis
+        vectors b_t and pivots p_t, a vector x lies in the span iff
+        x = sum_t x[p_t] b_t, that is iff x[j] - sum_t b_t[j] x[p_t] = 0
+        at every non-pivot coordinate j; one row per such j, cleared of
+        denominators (``_solved_rows``).  A coordinate subspace gets
+        one-entry rows.
         """
         if self._eqs is None:
             self._eqs = tuple(_solved_rows(range(self.ambient_dim), self._pivots, self._rows)[1])

@@ -251,20 +251,34 @@ MUTANTS = [
            "    units = {next(iter(row)) for row in work if len(row) <= 2}",
            DENSE),
     mutant("rref-no-back-substitution", "linalg.py",
-           "        _reduce(row, [(c, where[c]) for c in row if c != p and c in where])",
-           "        pass",
+           "            _reduce(row, [(c, where[c]) for c in row if c != p and c in where])",
+           "            pass",
            DENSE),
     mutant("rref-top-down-back-substitution", "linalg.py",
-           "    for p, row in zip(pivots[-2::-1], rows[-2::-1]):",
-           "    for p, row in zip(pivots, rows):",
+           "        for p, row in zip(pivots[-2::-1], rows[-2::-1]):",
+           "        for p, row in zip(pivots, rows):",
            DENSE),
     mutant("rref-no-sign-flip", "linalg.py",
-           "        if row[p] < 0:",
-           "        if False:",
+           "            if row[p] < 0:",
+           "            if False:",
+           DENSE),
+    # Back substitution is skipped only when the pivot rows hold nothing
+    # but the pivots, and then every row is {p: 1}.
+    mutant("rref-shortcut-fires-on-ge", "linalg.py",
+           "    if len(set().union(*rows)) == len(pivots):",
+           "    if len(set().union(*rows)) >= len(pivots):",
+           DENSE),
+    mutant("rref-shortcut-rows-unreduced", "linalg.py",
+           "        rows = [{p: 1} for p in pivots]",
+           "        pass",
            DENSE),
     mutant("null-space-pins-nothing", "linalg.py",
            "    pinned = {next(iter(row)) for row in rows if len(row) == 1}",
            "    pinned = set()",
+           DENSE),
+    mutant("null-space-keeps-all-but-the-last-row", "linalg.py",
+           "_solved_rows(columns, pivots, echelon), rows)",
+           "_solved_rows(columns, pivots, echelon), rows[:-1])",
            DENSE),
     mutant("solved-rows-sign-flipped", "linalg.py",
            "            row[p] = -x * (scale // d)",
@@ -322,6 +336,10 @@ MUTANTS = [
     mutant("meet-ignores-the-second-operand", "linalg.py",
            "        return _null_space(self._equations() + other._equations(), self.ambient_dim)",
            "        return _null_space(self._equations(), self.ambient_dim)",
+           "test_linalg.py", DENSE),
+    mutant("matrix-int-rows-keep-zeros", "linalg.py",
+           "{j: row[j] for j in compress(range(n_cols), row)}",
+           "{j: row[j] for j in range(n_cols)}",
            "test_linalg.py", DENSE),
     mutant("matrix-width-check-deleted", "linalg.py",
            "            if n_cols is not None and n_cols != width:",
@@ -411,6 +429,14 @@ MUTANTS = [
            "        return self.cycle_matrix().rank()",
            "        return self.cycle_matrix().rank() + 1",
            "test_cli.py"),
+    mutant("span-dim-one-too-large-with-fewer-cycles-than-r", "fibration.py",
+           "            return RationalMatrix(self._vectors, n_cols=self.surface.r).rank()",
+           "            return RationalMatrix(self._vectors, n_cols=self.surface.r).rank() + 1",
+           "test_fibration.py"),
+    mutant("cycle-matrix-r-columns", "fibration.py",
+           "        return RationalMatrix(rows, n_cols=self.m)",
+           "        return RationalMatrix(rows, n_cols=self.surface.r)",
+           "test_fibration.py"),
     mutant("proper-subset-accepts-r-zero", "properties.py",
            "    if r < 1:\n        raise ValueError",
            "    if r < 0:\n        raise ValueError",

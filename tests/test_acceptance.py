@@ -144,6 +144,18 @@ def test_quotient_dimension_equals_cycle_span(corpus):
     )
 
 
+def test_cycle_matrix_holds_the_class_vectors_as_columns(corpus):
+    for inst in corpus:
+        f = inst.fibration
+        columns = RationalMatrix(f.class_vectors(), n_cols=f.surface.r)
+        assert f.cycle_matrix() == columns.transpose()
+        assert f.cycle_span_dim() == columns.rank() == inst.d
+    print(
+        "PASS: the cycle matrix holds the class vectors as columns, and the "
+        f"span rank is its rank, on all {len(corpus)} instances"
+    )
+
+
 def test_closed_form_kernel_consistency(corpus):
     for inst in corpus:
         assert inst.closed_form_matches_kernel

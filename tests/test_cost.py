@@ -50,11 +50,11 @@ def gcd_cost(monkeypatch, argv: list[str]) -> tuple[int, int]:
 @pytest.mark.parametrize(
     "argv, calls, bits",
     [
-        (["compute", f"{GOLDEN}/large_r16_m80.json"], 2_417, 384_273),
-        (["compute", f"{GOLDEN}/wide_r32_m2.json"], 1_210, 3_296),
-        (["compute", f"{GOLDEN}/scale_r40_m200.json"], 14_091, 15_663_211),
-        (["fuzz", "--seed", "1", "--count", "2", "--max-r", "6", "--max-m", "25"], 235, 1_104),
-        (["examples", "--family", "y2", "--r", "7"], 566, 3_454),
+        (["compute", f"{GOLDEN}/large_r16_m80.json"], 1_965, 355_760),
+        (["compute", f"{GOLDEN}/wide_r32_m2.json"], 1_072, 3_133),
+        (["compute", f"{GOLDEN}/scale_r40_m200.json"], 11_271, 14_397_411),
+        (["fuzz", "--seed", "1", "--count", "2", "--max-r", "6", "--max-m", "25"], 217, 1_043),
+        (["examples", "--family", "y2", "--r", "7"], 510, 3_252),
     ],
     ids=["compute-large", "compute-wide", "compute-r40-m200", "fuzz-small", "examples-y2-r7"],
 )

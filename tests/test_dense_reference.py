@@ -13,6 +13,7 @@ from math import gcd
 
 import pytest
 
+from planarsig import linalg
 from planarsig.linalg import (
     RationalMatrix,
     Subspace,
@@ -264,6 +265,77 @@ def test_large_denominators_match_dense(shape, density):
         check_quotient(numerator, denominator)
 
 
+def triangular_rows(rng, n, columns, rational, extra=None):
+    """Seeded rows of Q^n, one per column of ``columns``, that span the
+    coordinate space on those columns: row i is nonzero at the i-th
+    column and at some later ones.  With ``extra``, a column past
+    ``columns``, every row also holds it, so the rank stays the same
+    and the pivots stay ``columns``."""
+    rows = []
+    for i, c in enumerate(columns):
+        v = [Fraction(0)] * n
+        v[c] = nonzero(rng, rational)
+        for j in columns[i + 1:]:
+            if rng.random() < 0.7:
+                v[j] = nonzero(rng, rational)
+        if extra is not None:
+            v[extra] = nonzero(rng, rational)
+        rows.append(v)
+    rng.shuffle(rows)
+    return rows
+
+
+def check_rref_back_substitution(grid, expected: bool):
+    """``check_rref`` on ``grid``, which runs back substitution exactly
+    when ``expected``: ``_rref`` reduces rows by ``_reduce`` only there."""
+    calls = []
+    reduce = linalg._reduce
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_reduce", lambda *args: calls.append(args) or reduce(*args))
+        check_rref(grid)
+    assert bool(calls) == expected
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rref_skips_back_substitution_at_full_support(seed):
+    # Rows that span the coordinate space on their columns have {p: 1}
+    # as RREF rows.  Unit rows at some of those columns and at others go
+    # to the singleton rule, and a zero row and a sum of two rows change
+    # nothing.
+    rng = random.Random(1100 + seed)
+    n = rng.randint(6, 14)
+    rational = seed % 2 == 1
+    columns = sorted(rng.sample(range(n), rng.randint(4, n - 2)))
+    units = rng.sample(columns, 1) + rng.sample([j for j in range(n) if j not in columns], 1)
+    grid = triangular_rows(rng, n, columns, rational)
+    grid += [[nonzero(rng, rational) if j == u else Fraction(0) for j in range(n)]
+             for u in units]
+    grid += [[Fraction(0)] * n, [a + b for a, b in zip(grid[0], grid[1])]]
+    rng.shuffle(grid)
+    check_rref_back_substitution(grid, False)
+    assert Subspace(n, grid).basis == tuple(rref_dense(grid))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rref_back_substitutes_when_a_column_is_held_beyond_the_pivots(seed):
+    rng = random.Random(1200 + seed)
+    n = rng.randint(4, 14)
+    rational = seed % 2 == 1
+    columns = sorted(rng.sample(range(n - 1), rng.randint(2, n - 1)))
+    extra = rng.randint(columns[-1] + 1, n - 1)
+    grid = triangular_rows(rng, n, columns, rational, extra)
+    check_rref_back_substitution(grid, True)
+    assert Subspace(n, grid).basis == tuple(rref_dense(grid))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_rref_of_zero_rows_is_empty(n):
+    assert _rref([], n) == ([], [])
+    assert _rref([{}, {}], n) == ([], [])
+    assert Subspace(n, [[0] * n, [0] * n]) == Subspace(n)
+    assert rref_dense([[0] * n, [0] * n]) == []
+
+
 @pytest.mark.parametrize("case", CASES + LARGE_CASES, ids=case_id)
 def test_canonical_basis_and_rank_match_dense(case):
     grid = case_grid(case)
@@ -511,6 +583,26 @@ def test_equations_cut_out_kernels_meets_sums_and_spans(seed):
     full = Subspace(n, [unit(n, j) for j in range(n)])
     for S in (U, V, K, U & V, K & V, U + V, K + V, Subspace(n), full, full & K):
         check_equations(S)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernels_and_meets_keep_the_rows_they_were_solved_from(seed):
+    # A kernel keeps its matrix's primitive rows as its equations, and a
+    # meet both operands' equations; each set cuts out exactly the
+    # subspace.
+    rng = random.Random(1300 + seed)
+    n = rng.randint(3, 12)
+    rational = seed % 2 == 1
+    a = pinned_system(rng, n, rng.sample(range(n), rng.randint(0, n // 2)), rational)
+    K = RationalMatrix(a).kernel()
+    assert list(K._equations()) == [_primitive(row) for row in a]
+    V = Subspace(n, unit_mix(rng, n, rational))
+    C = Subspace(n, [unit(n, j) for j in rng.sample(range(n), rng.randint(1, n))])
+    for S, T in ((K, V), (V, K), (K, C), (K & V, C)):
+        meet = S & T
+        assert meet._equations() == S._equations() + T._equations()
+        check_equations(meet)
+    check_equations(K)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -65,6 +65,23 @@ class TestConstruction:
 class TestCycleMatrix:
     def test_empty(self):
         assert fib(3).cycle_matrix().shape == (3, 0)
+        assert fib(3).cycle_span_dim() == 0
+
+    def test_no_boundary_circles_but_the_first_under_force(self):
+        f = PlanarFibration(PlanarSurface(0), [CurveClass.explicit([])] * 2, force=True)
+        assert f.cycle_matrix().shape == (0, 2)
+        assert f.cycle_span_dim() == 0
+
+    @pytest.mark.parametrize("r, m", [(8, 3), (3, 8), (5, 5)])
+    def test_span_dim_is_the_rank_either_way_round(self, r, m):
+        # cycle_span_dim eliminates the rows of the cycle matrix or of its
+        # transpose, whichever are fewer; both have the same rank.
+        rng = random.Random(31 * r + m)
+        for _ in range(20):
+            f = fib(r, *(random_proper_subset(rng, r) for _ in range(m)))
+            B = f.cycle_matrix()
+            assert B == RationalMatrix(f.class_vectors(), n_cols=r).transpose()
+            assert f.cycle_span_dim() == B.rank() == B.transpose().rank()
 
     def test_three_cycles(self):
         assert fib(2, *THREE_CYCLES).cycle_matrix() == RationalMatrix(

@@ -292,6 +292,24 @@ class TestStandardTriple:
             total_m[z.m_index(i)] = 1
         assert (triple.l_minus & triple.l_plus) == Subspace(z.dim, [total_m])
 
+    @pytest.mark.parametrize("name", ["large_r16_m80", "wide_r32_m2"])
+    def test_meridians_meet_kernel_without_clearing(self, monkeypatch, name):
+        # L+ keeps the boundary map's rows as its equations.  L- pins every
+        # longitude, which leaves the rows m_{i+1} - m_0, each at its own
+        # lowest column, so the meet eliminates without a _clear.
+        triple = standard_triple(load_document((GOLDEN / f"{name}.json").read_text())
+                                 .fibration.boundary_map())
+        z = triple.space
+        calls = []
+        clear = linalg._clear
+        monkeypatch.setattr(linalg, "_clear", lambda *args: calls.append(args) or clear(*args))
+        meet = triple.l_minus & triple.l_plus
+        assert calls == []
+        total_m = [0] * z.dim
+        for i in range(z.r + 1):
+            total_m[z.m_index(i)] = 1
+        assert meet == Subspace(z.dim, [total_m])
+
 
 class TestGramClosedForm:
     def test_trivial_monodromy_gram_is_zero(self):
