@@ -180,27 +180,19 @@ def _matrix_strings(M: RationalMatrix, field: str) -> list[list[str]]:
 
 
 def assemble_report(doc: FibrationDocument) -> dict:
+    """The report's keys are the fields of ``InvariantsReport``, in order,
+    after ``schema_version`` and ``input``; ``wall`` and ``boundary_map``
+    keep their places and are replaced by their printed matrices."""
     report = doc.fibration.betti_report()
     wc = report.wall
     return {
         "schema_version": SCHEMA_VERSION,
         "input": doc.echo(),
-        "m": report.m,
-        "r": report.r,
-        "d": report.d,
-        "sigma": report.sigma,
-        "b1": report.b1,
-        "b2": report.b2,
-        "euler": report.euler,
-        "definiteness": report.definiteness,
-        "intersection_form": list(report.form),
-        "allowable": report.allowable,
-        "oracle_sigma": report.oracle_sigma,
-        "oracle_agrees": report.oracle_agrees,
+        **vars(report),
         "wall": {
             "w_dim": wc.w_dim,
             "psi_matrix": _matrix_strings(wc.psi, "wall.psi_matrix"),
-            "correction_triple": list(wc.correction),
+            "correction_triple": wc.correction,
         },
         "boundary_map": _matrix_strings(report.boundary_map.matrix, "boundary_map"),
     }

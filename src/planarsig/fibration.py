@@ -116,12 +116,12 @@ class PlanarFibration:
             b2=b2,
             euler=1 - r + m,
             definiteness=NEGATIVE_DEFINITE if b2 > 0 else ZERO_FORM,
-            form=SignatureTriple(0, b2, 0),
+            intersection_form=SignatureTriple(0, b2, 0),
+            allowable=self.allowable,
             oracle_sigma=oracle_sigma,
             oracle_agrees=oracle_sigma == sigma,
-            allowable=self.allowable,
-            boundary_map=bmap,
             wall=wall,
+            boundary_map=bmap,
         )
 
 
@@ -129,12 +129,15 @@ class PlanarFibration:
 class InvariantsReport:
     """Exact invariants of a planar fibration.
 
-    ``d`` is the dimension of the span of the cycle classes; ``form``
-    is the inertia triple of the intersection form on second homology,
-    which is always (0, b2, 0): negative definite, or zero when b2 = 0.
-    ``oracle_sigma`` comes from the independent gluing pipeline and
-    must equal ``sigma`` on every valid input; ``boundary_map`` and
-    ``wall`` are that pipeline's boundary map and correction.
+    The fields are the keys of a ``compute`` report, in the order it
+    prints them; the CLI writes ``wall`` and ``boundary_map`` as
+    matrices of strings.  ``d`` is the dimension of the span of the
+    cycle classes; ``intersection_form`` is the inertia triple of the
+    intersection form on second homology, which is always (0, b2, 0):
+    negative definite, or zero when b2 = 0.  ``oracle_sigma`` comes from
+    the independent gluing pipeline and must equal ``sigma`` on every
+    valid input; ``wall`` and ``boundary_map`` are that pipeline's
+    correction and boundary map.
     """
 
     m: int
@@ -145,12 +148,12 @@ class InvariantsReport:
     b2: int
     euler: int
     definiteness: str
-    form: SignatureTriple
+    intersection_form: SignatureTriple
+    allowable: bool
     oracle_sigma: int
     oracle_agrees: bool
-    allowable: bool
-    boundary_map: MappingTorusBoundaryMap
     wall: WallCorrection
+    boundary_map: MappingTorusBoundaryMap
 
 
 def family_y1(r: int) -> PlanarFibration:

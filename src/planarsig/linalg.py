@@ -296,9 +296,9 @@ class RationalMatrix:
 
     def kernel(self) -> "Subspace":
         """Null space {x : Mx = 0} as a canonical subspace of Q^n_cols,
-        read off one elimination that it keeps as its equations (see
-        ``_null_space``)."""
-        return _null_space(self._primitive_rows(), self.n_cols)
+        read off one elimination of the nonzero primitive rows, which it
+        keeps as its equations (see ``_null_space``)."""
+        return _null_space([row for row in self._primitive_rows() if row], self.n_cols)
 
     def __eq__(self, other) -> bool:
         return (
@@ -619,9 +619,9 @@ class Subspace:
         at most once and kept in ``_eqs``; callers only read them.
 
         A kernel or meet keeps the rows its null space was solved from
-        (see ``_null_space``): a kernel its matrix's primitive rows, a
-        meet both operands' equations.  Otherwise, with canonical basis
-        vectors b_t and pivots p_t, a vector x lies in the span iff
+        (see ``_null_space``): a kernel its matrix's nonzero primitive
+        rows, a meet both operands' equations.  Otherwise, with canonical
+        basis vectors b_t and pivots p_t, a vector x lies in the span iff
         x = sum_t x[p_t] b_t, that is iff x[j] - sum_t b_t[j] x[p_t] = 0
         at every non-pivot coordinate j; one row per such j, cleared of
         denominators (``_solved_rows``).  A coordinate subspace gets

@@ -103,9 +103,9 @@ def check_fibration(fib: PlanarFibration, rng: random.Random) -> list[CheckResul
     expected_verdict = NEGATIVE_DEFINITE if report.b2 > 0 else ZERO_FORM
     add(
         "form-never-indefinite",
-        report.form == SignatureTriple(0, m - d, 0)
+        report.intersection_form == SignatureTriple(0, m - d, 0)
         and report.definiteness == expected_verdict,
-        f"form {tuple(report.form)} verdict {report.definiteness}",
+        f"form {tuple(report.intersection_form)} verdict {report.definiteness}",
     )
     add(
         "sigma-nonpositive",

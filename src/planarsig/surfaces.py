@@ -116,16 +116,10 @@ class PlanarSurface:
                 "the enclosed set must be a proper subset"
             )
         # Circle i >= 1 has class m_i and circle 0 has -(m_1 + ... + m_r),
-        # so a set holding 0 sums to minus the circles 1..r it leaves out.
-        if 0 in curve.encloses:
-            v = [-1] * self.r
-            for i in curve.encloses - {0}:
-                v[i - 1] = 0
-        else:
-            v = [0] * self.r
-            for i in curve.encloses:
-                v[i - 1] = 1
-        return tuple(v)
+        # so coordinate i of an enclosed set S is [i in S] - [0 in S].
+        enclosed = curve.encloses
+        holds_zero = 0 in enclosed
+        return tuple([(i in enclosed) - holds_zero for i in range(1, self.r + 1)])
 
 
 @dataclass(frozen=True, slots=True)

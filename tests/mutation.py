@@ -173,6 +173,17 @@ MUTANTS = [
            "            return out\n",
            "",
            "test_cli.py"),
+    # The report's fields, stated once by InvariantsReport.
+    mutant("report-allowable-after-oracle-agrees", "fibration.py",
+           "    allowable: bool\n    oracle_sigma: int\n    oracle_agrees: bool\n",
+           "    oracle_sigma: int\n    oracle_agrees: bool\n    allowable: bool\n",
+           "test_cli.py"),
+    mutant("report-without-wall-entry", "cli.py",
+           '        "wall": {\n            "w_dim": wc.w_dim,\n'
+           '            "psi_matrix": _matrix_strings(wc.psi, "wall.psi_matrix"),\n'
+           '            "correction_triple": wc.correction,\n        },\n',
+           "",
+           "test_cli.py"),
     # The word lists of the command line, each stated once.
     mutant("families-pair-y1-with-the-y2-closed-form", "cli.py",
            '"y1": (family_y1, expected_sigma_y1)',
@@ -280,6 +291,10 @@ MUTANTS = [
            "_solved_rows(columns, pivots, echelon), rows)",
            "_solved_rows(columns, pivots, echelon), rows[:-1])",
            DENSE),
+    mutant("kernel-keeps-empty-rows", "linalg.py",
+           "[row for row in self._primitive_rows() if row]",
+           "self._primitive_rows()",
+           DENSE),
     mutant("solved-rows-sign-flipped", "linalg.py",
            "            row[p] = -x * (scale // d)",
            "            row[p] = x * (scale // d)",
@@ -370,6 +385,11 @@ MUTANTS = [
            "                A[i][c] -= A[j][c]\n            for r in range(k, n):\n"
            "                A[r][i] -= A[r][j]",
            "test_linalg.py", DENSE, "test_wall.py", expect="survived"),
+    # The class of a curve: [i in S] - [0 in S] at coordinate i.
+    mutant("class-vector-plus-holds-zero", "surfaces.py",
+           "(i in enclosed) - holds_zero",
+           "(i in enclosed) + holds_zero",
+           "test_surfaces.py"),
     # Pairing and isotropy.
     mutant("pair-sign-flipped", "surfaces.py",
            "                    total -= a * b",

@@ -169,7 +169,7 @@ def test_betti_and_definiteness_identities(corpus):
     for inst in corpus:
         report = inst.report
         assert report.sigma == -report.m + report.r - report.b1
-        assert report.form == SignatureTriple(0, report.m - inst.d, 0)
+        assert report.intersection_form == SignatureTriple(0, report.m - inst.d, 0)
         assert report.definiteness in (NEGATIVE_DEFINITE, ZERO_FORM)
         assert (report.definiteness == ZERO_FORM) == (report.b2 == 0)
     print(

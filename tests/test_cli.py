@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from planarsig import cli, fibration, properties, wall
 from planarsig.cli import DocumentError, _json_text, _matrix_strings, load_document, main
-from planarsig.fibration import PlanarFibration
+from planarsig.fibration import InvariantsReport, PlanarFibration
 from planarsig.linalg import RationalMatrix, Subspace
 from planarsig.properties import CHECK_NAMES, check_fibration, random_fibration
 from planarsig.surfaces import (
@@ -188,6 +189,15 @@ class TestCompute:
         assert main(["compute", "-", "--format", "table"]) == 0
         out = capsys.readouterr().out
         assert out == (GOLDEN / "large_r16_m80_table.txt").read_text()
+
+    def test_report_keys_are_the_fields_of_invariants_report(self, capsys, feed_stdin):
+        # The library states the report's fields once; the CLI adds only
+        # the schema version and the echoed input in front of them.
+        feed_stdin(THREE_CYCLES_DOC)
+        assert main(["compute", "-"]) == 0
+        keys = list(json.loads(capsys.readouterr().out))
+        assert keys[:2] == ["schema_version", "input"]
+        assert keys[2:] == [f.name for f in fields(InvariantsReport)]
 
     def test_report_digest_at_scale(self, capsys, feed_stdin):
         # fibration_document(Random(7), 40, 200) of benchmarks/workloads.py:
@@ -627,6 +637,12 @@ class TestExamples:
         assert main(["examples", "--family", "y2", "--r", "7"]) == 0
         out = capsys.readouterr().out
         assert out == (GOLDEN / "examples_y2_r7.json").read_text()
+
+    def test_table_matches_golden_file(self, capsys):
+        # The table prints both inertia triples as plain tuples.
+        assert main(["examples", "--family", "y1", "--r", "4", "--format", "table"]) == 0
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / "examples_y1_r4_table.txt").read_text()
 
 
 class TestFuzz:

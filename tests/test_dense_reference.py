@@ -587,9 +587,9 @@ def test_equations_cut_out_kernels_meets_sums_and_spans(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_kernels_and_meets_keep_the_rows_they_were_solved_from(seed):
-    # A kernel keeps its matrix's primitive rows as its equations, and a
-    # meet both operands' equations; each set cuts out exactly the
-    # subspace.
+    # A kernel keeps its matrix's nonzero primitive rows as its
+    # equations, repeats included, and a meet both operands' equations;
+    # each set cuts out exactly the subspace.
     rng = random.Random(1300 + seed)
     n = rng.randint(3, 12)
     rational = seed % 2 == 1
@@ -603,6 +603,21 @@ def test_kernels_and_meets_keep_the_rows_they_were_solved_from(seed):
         assert meet._equations() == S._equations() + T._equations()
         check_equations(meet)
     check_equations(K)
+
+
+def test_kernel_keeps_no_empty_equation():
+    # A zero row constrains nothing and is not primitive, so the kernel
+    # drops it and keeps the repeated row; a meet with the kernel then
+    # carries no empty equation either.
+    a = [[0, 0, 0], [1, 1, 0], [2, 2, 0]]
+    K = RationalMatrix(a).kernel()
+    assert K._equations() == ({0: 1, 1: 1}, {0: 1, 1: 1})
+    assert K.basis == tuple(kernel_dense(a, 3))
+    v_gens = [[1, -1, 0]]
+    meet = K & Subspace(3, v_gens)
+    assert meet.basis == tuple(meet_dense(K.basis, v_gens, 3))
+    check_equations(K)
+    check_equations(meet)
 
 
 @pytest.mark.parametrize("seed", range(4))

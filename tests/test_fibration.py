@@ -157,7 +157,7 @@ class TestBettiReport:
         report = fib(3).betti_report()
         assert (report.sigma, report.b1, report.b2, report.euler) == (0, 3, 0, -2)
         assert report.definiteness == ZERO_FORM
-        assert report.form == SignatureTriple(0, 0, 0)
+        assert report.intersection_form == SignatureTriple(0, 0, 0)
         assert report.oracle_agrees
 
     def test_three_cycles(self):
@@ -169,7 +169,7 @@ class TestBettiReport:
         assert report.b2 == 1
         assert report.euler == 2
         assert report.definiteness == NEGATIVE_DEFINITE
-        assert report.form == SignatureTriple(0, 1, 0)
+        assert report.intersection_form == SignatureTriple(0, 1, 0)
         assert report.oracle_agrees
 
     def test_parallel_family_at_three(self):
@@ -195,7 +195,7 @@ class TestBettiReport:
             ]
             report = PlanarFibration(PlanarSurface(r), cycles).betti_report()
             assert report.sigma == -report.m + report.r - report.b1
-            assert report.form == SignatureTriple(0, report.m - report.d, 0)
+            assert report.intersection_form == SignatureTriple(0, report.m - report.d, 0)
             assert report.definiteness in (NEGATIVE_DEFINITE, ZERO_FORM)
 
     def test_order_independent(self):

@@ -144,6 +144,19 @@ class TestClassVector:
                 b = s.class_vector(CurveClass.enclosing(full - set(subset)))
                 assert all(x + y == 0 for x, y in zip(a, b))
 
+    def test_class_is_the_sum_of_the_enclosed_circles(self):
+        # Circle i >= 1 has class m_i and circle 0 has -(m_1 + ... + m_r);
+        # a curve's class is the sum over the circles it encloses, in
+        # ints, not bools.
+        for r in range(1, 6):
+            s = PlanarSurface(r)
+            circles = [(-1,) * r] + [tuple(int(j == i) for j in range(1, r + 1))
+                                     for i in range(1, r + 1)]
+            for subset in proper_subsets(r):
+                v = s.class_vector(CurveClass.enclosing(subset))
+                assert v == tuple(map(sum, zip(*[circles[i] for i in subset])))
+                assert all(type(x) is int for x in v)
+
     def test_allowability_exhaustive(self):
         # Every nonempty proper enclosed set gives a nonzero class; the
         # empty and full sets are not valid curve descriptors at all.
