@@ -336,7 +336,6 @@ def cmd_fuzz(args) -> int:
     rng = random.Random(args.seed)
     passed = {name: 0 for name in CHECK_NAMES}
     failures = []
-    checks_run = 0
     for index in range(args.count):
         fib = random_fibration(rng, args.max_r, args.max_m)
         try:
@@ -345,7 +344,6 @@ def cmd_fuzz(args) -> int:
             text = " ".join(f"{type(e).__name__}: {e}".splitlines())
             results = [CheckResult("exception", False, text)]
         for result in results:
-            checks_run += 1
             if result.passed:
                 passed[result.name] += 1
             else:
@@ -358,14 +356,15 @@ def cmd_fuzz(args) -> int:
                     }
                 )
     failures.sort(key=lambda f: (f["instance"], f["check"]))
+    checks_passed = sum(passed.values())
     summary = {
         "schema_version": SCHEMA_VERSION,
         "seed": args.seed,
         "count": args.count,
         "max_r": args.max_r,
         "max_m": args.max_m,
-        "checks_run": checks_run,
-        "checks_passed": checks_run - len(failures),
+        "checks_run": checks_passed + len(failures),
+        "checks_passed": checks_passed,
         "checks_failed": len(failures),
         "passed_by_check": passed,
         "failures": failures,
@@ -387,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"planarsig {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output_format = dict(choices=("json", "table"), default="json", help="output format")
 
     compute = sub.add_parser(
         "compute", help="report invariants of a fibration document"
@@ -397,9 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="-",
         help="JSON document path, or - for stdin (default)",
     )
-    compute.add_argument(
-        "--format", choices=("json", "table"), default="json", help="output format"
-    )
+    compute.add_argument("--format", **output_format)
     compute.add_argument(
         "--force",
         action="store_true",
@@ -410,9 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     examples = sub.add_parser("examples", help="generate a built-in family")
     examples.add_argument("--family", choices=tuple(FAMILIES), required=True)
     examples.add_argument("--r", type=int, required=True, help="family parameter, >= 2")
-    examples.add_argument(
-        "--format", choices=("json", "table"), default="json", help="output format"
-    )
+    examples.add_argument("--format", **output_format)
 
     fuzz = sub.add_parser("fuzz", help="run the invariant battery on random inputs")
     fuzz.add_argument("--seed", type=int, default=0)

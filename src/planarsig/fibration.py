@@ -55,11 +55,9 @@ class PlanarFibration:
             raise ValueError(f"force must be a bool, not {self.force!r}")
         # class_vector validates each curve's shape and range.
         vectors = tuple([self.surface.class_vector(c) for c in self.cycles])
-        if not self.force:
-            for i, v in enumerate(vectors):
-                if not any(v):
-                    raise NonAllowableCycleError(i)
         object.__setattr__(self, "_vectors", vectors)
+        if not (self.force or self.allowable):
+            raise NonAllowableCycleError([any(v) for v in vectors].index(False))
 
     @property
     def m(self) -> int:
@@ -67,7 +65,7 @@ class PlanarFibration:
 
     @property
     def allowable(self) -> bool:
-        return all(any(v) for v in self._vectors)
+        return all(map(any, self._vectors))
 
     def class_vectors(self) -> list[tuple[int, ...]]:
         return list(self._vectors)

@@ -168,6 +168,14 @@ MUTANTS = [
            '"force_non_allowable": self.force,',
            '"force_non_allowable": self.fibration.force,',
            "test_cli.py"),
+    mutant("format-defaults-to-table", "cli.py",
+           'default="json", help="output format")',
+           'default="table", help="output format")',
+           "test_cli.py"),
+    mutant("fuzz-checks-run-is-checks-passed", "cli.py",
+           '"checks_run": checks_passed + len(failures),',
+           '"checks_run": checks_passed,',
+           "test_cli.py"),
     mutant("table-without-empty-marker", "cli.py",
            '        if not grid or not grid[0]:\n            out.append("  (empty)")\n'
            "            return out\n",
@@ -226,6 +234,10 @@ MUTANTS = [
            "            del row[j]\n    _divide_content(row)\n",
            "            del row[j]\n",
            DENSE, "test_cost.py"),
+    mutant("clear-takes-no-content-past-the-bit-bound", "linalg.py",
+           "            del row[j]\n    _divide_content(row)\n",
+           "            del row[j]\n",
+           "test_bit_growth.py"),
     mutant("content-division-skips-two", "linalg.py",
            "    if g > 1:\n        for j in row:\n            row[j] //= g",
            "    if g > 2:\n        for j in row:\n            row[j] //= g",
@@ -352,6 +364,10 @@ MUTANTS = [
            "        return _null_space(self._equations() + other._equations(), self.ambient_dim)",
            "        return _null_space(self._equations(), self.ambient_dim)",
            "test_linalg.py", DENSE),
+    mutant("equations-skip-the-last-coordinate", "linalg.py",
+           "_solved_rows(range(self.ambient_dim), self._pivots",
+           "_solved_rows(range(self.ambient_dim - 1), self._pivots",
+           DENSE),
     mutant("matrix-int-rows-keep-zeros", "linalg.py",
            "{j: row[j] for j in compress(range(n_cols), row)}",
            "{j: row[j] for j in range(n_cols)}",
@@ -403,6 +419,28 @@ MUTANTS = [
            "                seen.setdefault(i, []).append((k, a))",
            "                seen[i] = [(k, a)]",
            DENSE, "test_wall.py"),
+    mutant("isotropy-pairings-overwritten", "surfaces.py",
+           "                    pairings[t] = pairings.get(t, 0) + a * b",
+           "                    pairings[t] = a * b",
+           DENSE, "test_wall.py"),
+    # Equivalent by design: Q(u, u) = 0, so a row paired with itself
+    # adds nothing to its pairings.
+    mutant("isotropy-records-a-row-before-pairing-it", "surfaces.py",
+           "            pairings: dict[int, int] = {}\n            for i, a in u.items():\n"
+           "                j, a = (i + 1, a) if i % 2 == 0 else (i - 1, -a)\n"
+           "                for t, b in seen.get(j, ()):\n"
+           "                    pairings[t] = pairings.get(t, 0) + a * b\n"
+           "            if any(pairings.values()):\n                return False\n"
+           "            for i, a in u.items():\n"
+           "                seen.setdefault(i, []).append((k, a))\n",
+           "            pairings: dict[int, int] = {}\n            for i, a in u.items():\n"
+           "                seen.setdefault(i, []).append((k, a))\n"
+           "            for i, a in u.items():\n"
+           "                j, a = (i + 1, a) if i % 2 == 0 else (i - 1, -a)\n"
+           "                for t, b in seen.get(j, ()):\n"
+           "                    pairings[t] = pairings.get(t, 0) + a * b\n"
+           "            if any(pairings.values()):\n                return False\n",
+           DENSE, "test_wall.py", expect="survived"),
     # The Wall route.
     mutant("wall-defect-is-n-plus", "wall.py",
            "        defect=correction.signature,",
@@ -444,6 +482,15 @@ MUTANTS = [
            "    expected = bmap.space.r + 1",
            "    expected = bmap.space.r + 2",
            "test_wall.py"),
+    # The constructor's null-homology check: the first such cycle, unless forced.
+    mutant("non-allowable-error-names-cycle-zero", "fibration.py",
+           "raise NonAllowableCycleError([any(v) for v in vectors].index(False))",
+           "raise NonAllowableCycleError(0)",
+           "test_fibration.py"),
+    mutant("fibration-ignores-force", "fibration.py",
+           "        if not (self.force or self.allowable):",
+           "        if not self.allowable:",
+           "test_fibration.py"),
     # The closed-form span rank, and the fuzz battery.
     mutant("span-dim-one-too-large", "fibration.py",
            "        return self.cycle_matrix().rank()",

@@ -716,6 +716,19 @@ class TestFuzz:
         for v, w in zip(reloaded, vectors):
             assert v in (w, tuple(-x for x in w))
 
+    def test_tallies_with_a_failing_check(self, capsys, monkeypatch):
+        # Every instance fails one named check, so a failure here is a
+        # key of passed_by_check, unlike a crash.
+        monkeypatch.setattr(properties, "lplus_closed_form", lambda r, vectors: None)
+        args = ["fuzz", "--seed", "3", "--count", "4", "--max-r", "4", "--max-m", "6"]
+        assert main(args) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["checks_failed"] == 4
+        assert {f["check"] for f in out["failures"]} == {"lplus-closed-form-vs-kernel"}
+        assert out["passed_by_check"]["lplus-closed-form-vs-kernel"] == 0
+        assert out["checks_passed"] == sum(out["passed_by_check"].values()) > 0
+        assert out["checks_run"] == out["checks_passed"] + out["checks_failed"]
+
     def test_random_proper_subset_refuses_r_zero(self):
         # {0} has no nonempty proper subset; a draw would loop for ever.
         class NoDraws(random.Random):
@@ -912,6 +925,15 @@ class TestEntryPoint:
 
 class TestParser:
     """``main`` builds its parser once per process and keeps no state on it."""
+
+    def test_compute_and_examples_share_the_format_option(self):
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        compute, examples = (
+            commands[name]._option_string_actions["--format"] for name in ("compute", "examples")
+        )
+        assert compute.choices == examples.choices == ("json", "table")
+        assert compute.default == examples.default == "json"
+        assert compute.help == examples.help == "output format"
 
     def test_built_once_for_every_command(self, capsys, feed_stdin, monkeypatch):
         builds = []

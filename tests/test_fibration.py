@@ -36,6 +36,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="force must be a bool"):
             PlanarFibration(PlanarSurface(2), [CurveClass.explicit([0, 0])], force=force)
 
+    def test_first_null_homologous_cycle_is_named_and_force_lets_it_through(self):
+        # Cycles 2 and 4 are null-homologous; the error names cycle 2.
+        null = CurveClass.explicit([0, 0])
+        cycles = [CurveClass.enclosing({1}), CurveClass.enclosing({2}), null,
+                  CurveClass.enclosing({1, 2}), null]
+        with pytest.raises(NonAllowableCycleError) as info:
+            PlanarFibration(PlanarSurface(2), cycles)
+        assert info.value.index == 2
+        f = PlanarFibration(PlanarSurface(2), cycles, force=True)
+        assert f.m == 5 and not f.allowable
+
     def test_force_accepts_and_marks(self):
         f = PlanarFibration(PlanarSurface(2), [CurveClass.explicit([0, 0])], force=True)
         assert not f.allowable
