@@ -2,8 +2,9 @@
 
 Each check recomputes an exported invariant along two routes that must
 agree, or perturbs the input in a way that must not change the result.
-The fuzz command drives this battery over seeded random instances; the
-test suite reuses the same checks on fixed corpora.
+The fuzz command drives this battery over seeded random instances;
+``tests/test_acceptance.py`` runs the same checks, by name, on its
+fixed corpus of about 4,300 instances.
 
 The order and sign checks compare boundary maps, not Wall corrections.
 On a planar fiber the intersection form on H_1 vanishes, so the Dehn

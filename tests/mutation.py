@@ -508,6 +508,31 @@ MUTANTS = [
            "    if r < 1:\n        raise ValueError",
            "    if r < 0:\n        raise ValueError",
            "test_cli.py"),
+    # Each battery check that an injected fault fails, made to pass always.
+    mutant("check-span-formula-vs-wall-oracle-always-passes", "properties.py",
+           "        report.sigma == report.oracle_sigma,",
+           "        True,",
+           "test_cli.py"),
+    mutant("check-correction-positive-definite-always-passes", "properties.py",
+           "        wc.correction == SignatureTriple(wc.w_dim, 0, 0) and wc.defect == wc.w_dim,",
+           "        True,",
+           "test_cli.py"),
+    mutant("check-quotient-dim-equals-cycle-span-always-passes", "properties.py",
+           "        wc.w_dim == d,",
+           "        True,",
+           "test_cli.py"),
+    mutant("check-gram-psd-of-span-rank-always-passes", "properties.py",
+           "        gram_sig == SignatureTriple(d, 0, r - d),",
+           "        True,",
+           "test_cli.py"),
+    mutant("check-sigma-nonpositive-always-passes", "properties.py",
+           "        report.sigma <= 0 and (report.sigma == 0) == (d == m),",
+           "        True,",
+           "test_cli.py"),
+    mutant("check-append-subadditivity-always-passes", "properties.py",
+           "            got == expected,",
+           "            True,",
+           "test_cli.py"),
 ]
 
 

@@ -2,33 +2,30 @@
 
 Each test covers one criterion at exact (integer / rational) tolerance
 and prints a PASS line on success; run with ``pytest -v`` (or ``-s``)
-to see one line per criterion.  The shared corpus sweeps every
-fibration with fiber parameter r <= 3 and at most 4 cycles drawn from
-all nonempty proper enclosed sets (as unordered multisets; order
-independence is asserted separately in the module tests), plus 1000
-seeded random instances with r <= 6 and up to 25 cycles.
+to see one line per criterion.  Over the shared corpus the criteria are
+the eleven checks of ``planarsig.properties.check_fibration``, the
+battery that ``fuzz`` runs, each asserted by name wherever it applies.
+The corpus sweeps every fibration with fiber parameter r <= 3 and at
+most 4 cycles drawn from all nonempty proper enclosed sets (as
+unordered multisets; the battery's order check permutes them), plus
+1000 seeded random instances with r <= 6 and up to 25 cycles.
 """
 
 import random
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from planarsig.fibration import (
-    NEGATIVE_DEFINITE,
-    ZERO_FORM,
-    InvariantsReport,
     PlanarFibration,
     expected_sigma_y1,
     expected_sigma_y2,
     family_y1,
     family_y2,
 )
-from planarsig.linalg import RationalMatrix, SignatureTriple, symmetric_signature
-from planarsig.properties import random_proper_subset
+from planarsig.linalg import RationalMatrix, symmetric_signature
+from planarsig.properties import check_fibration, random_proper_subset
 from planarsig.surfaces import CurveClass, PlanarSurface
-from planarsig.wall import WallCorrection, lplus_closed_form
 
 from test_linalg import product
 
@@ -36,28 +33,12 @@ CORPUS_SEED = 20170801
 RANDOM_INSTANCES = 1000
 MATRIX_TRIALS = 500
 
-
-@dataclass(frozen=True)
-class Instance:
-    fibration: PlanarFibration
-    d: int
-    wall: WallCorrection
-    closed_form_matches_kernel: bool
-    report: InvariantsReport
-
-
-def _evaluate(fibration: PlanarFibration) -> Instance:
-    report = fibration.betti_report()
-    matches = lplus_closed_form(
-        fibration.surface.r, fibration.class_vectors()
-    ) == report.wall.triple.l_plus
-    return Instance(
-        fibration=fibration,
-        d=report.d,
-        wall=report.wall,
-        closed_form_matches_kernel=matches,
-        report=report,
-    )
+# Where a battery check runs; every check not listed runs always.
+APPLIES = {
+    "order-invariance": lambda f: f.m > 0,
+    "sign-invariance": lambda f: f.m > 0,
+    "append-subadditivity": lambda f: f.surface.r >= 1,
+}
 
 
 def _exhaustive_fibrations():
@@ -89,11 +70,22 @@ def _random_fibrations(count):
 
 @pytest.fixture(scope="session")
 def corpus():
-    instances = [_evaluate(f) for f in _exhaustive_fibrations()]
-    exhaustive = len(instances)
-    instances.extend(_evaluate(f) for f in _random_fibrations(RANDOM_INSTANCES))
-    assert exhaustive >= 3000 and len(instances) - exhaustive == RANDOM_INSTANCES
-    return instances
+    """Each fibration with its battery results, by check name."""
+    fibrations = list(_exhaustive_fibrations())
+    assert len(fibrations) >= 3000
+    fibrations.extend(_random_fibrations(RANDOM_INSTANCES))
+    rng = random.Random(CORPUS_SEED + 2)
+    return [(f, {c.name: c for c in check_fibration(f, rng)}) for f in fibrations]
+
+
+def assert_passed(corpus, *names):
+    """Each named check ran exactly where it applies, so none is skipped
+    unseen, and passed there."""
+    for f, checks in corpus:
+        for name in names:
+            ran = name in checks
+            assert ran == APPLIES.get(name, lambda f: True)(f), f"{name} ran: {ran}, on {f}"
+            assert not ran or checks[name].passed, f"{name}: {checks[name].detail} on {f}"
 
 
 def test_pair_family_signatures_both_paths():
@@ -115,10 +107,7 @@ def test_parallel_family_signatures_both_paths():
 
 
 def test_oracle_equivalence_over_corpus(corpus):
-    disagreements = [
-        inst for inst in corpus if inst.report.sigma != inst.report.oracle_sigma
-    ]
-    assert disagreements == []
+    assert_passed(corpus, "span-formula-vs-wall-oracle")
     print(
         f"PASS: span formula and gluing oracle agree on all {len(corpus)} "
         "corpus instances"
@@ -126,9 +115,7 @@ def test_oracle_equivalence_over_corpus(corpus):
 
 
 def test_correction_form_positive_definite(corpus):
-    for inst in corpus:
-        assert inst.wall.correction == SignatureTriple(inst.wall.w_dim, 0, 0)
-        assert inst.wall.defect == inst.wall.w_dim
+    assert_passed(corpus, "correction-positive-definite")
     print(
         "PASS: induced correction form is positive definite "
         f"(inertia (w_dim, 0, 0)) on all {len(corpus)} instances"
@@ -136,8 +123,7 @@ def test_correction_form_positive_definite(corpus):
 
 
 def test_quotient_dimension_equals_cycle_span(corpus):
-    for inst in corpus:
-        assert inst.wall.w_dim == inst.d
+    assert_passed(corpus, "quotient-dim-equals-cycle-span")
     print(
         "PASS: quotient dimension equals the rank of the cycle matrix "
         f"on all {len(corpus)} instances"
@@ -145,11 +131,10 @@ def test_quotient_dimension_equals_cycle_span(corpus):
 
 
 def test_cycle_matrix_holds_the_class_vectors_as_columns(corpus):
-    for inst in corpus:
-        f = inst.fibration
+    for f, _ in corpus:
         columns = RationalMatrix(f.class_vectors(), n_cols=f.surface.r)
         assert f.cycle_matrix() == columns.transpose()
-        assert f.cycle_span_dim() == columns.rank() == inst.d
+        assert f.cycle_span_dim() == columns.rank()
     print(
         "PASS: the cycle matrix holds the class vectors as columns, and the "
         f"span rank is its rank, on all {len(corpus)} instances"
@@ -157,8 +142,7 @@ def test_cycle_matrix_holds_the_class_vectors_as_columns(corpus):
 
 
 def test_closed_form_kernel_consistency(corpus):
-    for inst in corpus:
-        assert inst.closed_form_matches_kernel
+    assert_passed(corpus, "lplus-closed-form-vs-kernel")
     print(
         "PASS: closed-form generators span exactly the boundary-map kernel "
         f"on all {len(corpus)} instances"
@@ -166,15 +150,21 @@ def test_closed_form_kernel_consistency(corpus):
 
 
 def test_betti_and_definiteness_identities(corpus):
-    for inst in corpus:
-        report = inst.report
-        assert report.sigma == -report.m + report.r - report.b1
-        assert report.intersection_form == SignatureTriple(0, report.m - inst.d, 0)
-        assert report.definiteness in (NEGATIVE_DEFINITE, ZERO_FORM)
-        assert (report.definiteness == ZERO_FORM) == (report.b2 == 0)
+    # sigma-nonpositive catches a span dimension d > m, where b2 < 0.
+    names = "betti-signature-identity", "form-never-indefinite", "sigma-nonpositive"
+    assert_passed(corpus, *names)
     print(
         "PASS: sigma = -m + r - b1 and intersection form (0, b2, 0), never "
         f"indefinite, on all {len(corpus)} instances"
+    )
+
+
+def test_remaining_battery_checks_over_corpus(corpus):
+    assert_passed(corpus, "gram-psd-of-span-rank", "order-invariance")
+    assert_passed(corpus, "sign-invariance", "append-subadditivity")
+    print(
+        "PASS: Gram inertia (d, 0, r - d), order and sign invariance of the "
+        f"boundary map, and append subadditivity on all {len(corpus)} instances"
     )
 
 

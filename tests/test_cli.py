@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -40,15 +41,16 @@ FORCED_DOC = json.loads((GOLDEN / "forced_r2.json").read_text())
 
 
 def run_compute(capsys, doc, *flags):
-    code = main(["compute", "-", *flags])
-    out = capsys.readouterr().out
-    return code, out
+    """Run ``compute -`` on ``doc`` fed to stdin; returns the exit code
+    and stdout."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code = main(["compute", "-", *flags])
+    return code, capsys.readouterr().out
 
 
 @pytest.fixture
 def feed_stdin(monkeypatch):
-    import io
-
     def feed(payload):
         text = payload if isinstance(payload, str) else json.dumps(payload)
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))
@@ -57,8 +59,7 @@ def feed_stdin(monkeypatch):
 
 
 class TestCompute:
-    def test_three_cycles(self, capsys, feed_stdin):
-        feed_stdin(THREE_CYCLES_DOC)
+    def test_three_cycles(self, capsys):
         code, out = run_compute(capsys, THREE_CYCLES_DOC)
         assert code == 0
         report = json.loads(out)
@@ -70,7 +71,7 @@ class TestCompute:
         assert report["wall"]["correction_triple"] == [2, 0, 0]
         assert report["schema_version"] == "1"
 
-    def test_all_pairs_of_three(self, capsys, feed_stdin):
+    def test_all_pairs_of_three(self, capsys):
         doc = {
             "boundary_components": 4,
             "vanishing_cycles": [
@@ -79,14 +80,12 @@ class TestCompute:
                 {"encloses": [2, 3]},
             ],
         }
-        feed_stdin(doc)
         code, out = run_compute(capsys, doc)
         assert code == 0
         assert json.loads(out)["sigma"] == 0
 
-    def test_empty_cycle_list(self, capsys, feed_stdin):
+    def test_empty_cycle_list(self, capsys):
         doc = {"boundary_components": 4, "vanishing_cycles": []}
-        feed_stdin(doc)
         code, out = run_compute(capsys, doc)
         assert code == 0
         report = json.loads(out)
@@ -223,12 +222,11 @@ class TestCompute:
         assert capsys.readouterr().out == (GOLDEN / "large_r16_m80_report.json").read_text()
         assert len(built) == 1
 
-    def test_explicit_class_vectors(self, capsys, feed_stdin):
+    def test_explicit_class_vectors(self, capsys):
         doc = {
             "boundary_components": 3,
             "vanishing_cycles": [{"class": [1, 1]}, {"class": [2, -1]}],
         }
-        feed_stdin(doc)
         code, out = run_compute(capsys, doc)
         assert code == 0
         assert json.loads(out)["d"] == 2
@@ -283,12 +281,11 @@ class TestJsonText:
 
 
 class TestEchoRoundTrip:
-    def test_enclosed_sets_canonicalized(self, capsys, feed_stdin):
+    def test_enclosed_sets_canonicalized(self, capsys):
         doc = {
             "boundary_components": 4,
             "vanishing_cycles": [{"encloses": [1, 0]}, {"encloses": [3, 2]}],
         }
-        feed_stdin(doc)
         code, out = run_compute(capsys, doc)
         assert code == 0
         echo = json.loads(out)["input"]
@@ -297,7 +294,7 @@ class TestEchoRoundTrip:
             {"encloses": [2, 3]},
         ]
 
-    def test_echo_is_a_fixed_point(self, capsys, feed_stdin):
+    def test_echo_is_a_fixed_point(self, capsys):
         # Feeding the echo back reproduces the whole report, byte for
         # byte.  large_r16_m80 has 44 enclosed sets that hold circle 0.
         mixed = {
@@ -310,12 +307,10 @@ class TestEchoRoundTrip:
         }
         large = json.loads((GOLDEN / "large_r16_m80.json").read_text())
         for doc in (mixed, large):
-            feed_stdin(doc)
             code, first = run_compute(capsys, doc)
             assert code == 0
             echo = json.loads(first)["input"]
             assert echo != doc
-            feed_stdin(echo)
             code, second = run_compute(capsys, echo)
             assert code == 0
             assert second == first
@@ -527,10 +522,9 @@ class TestValidation:
         feed_stdin(doc)
         assert main(["compute", "-"]) == 0
 
-    def test_forced_report_matches_golden_file(self, capsys, feed_stdin):
+    def test_forced_report_matches_golden_file(self, capsys):
         # The echo keeps the document's own flag, false here, although
         # --force lets the null-homologous cycle through.
-        feed_stdin(FORCED_DOC)
         code, out = run_compute(capsys, FORCED_DOC, "--force")
         assert code == 0
         assert out == (GOLDEN / "forced_r2_report.json").read_text()
@@ -744,6 +738,57 @@ class TestFuzz:
         fib = PlanarFibration(PlanarSurface(2), [CurveClass.enclosing({1})])
         results = check_fibration(fib, random.Random(0))
         assert [c.name for c in results] == CHECK_NAMES
+
+    def test_injected_faults_fail_their_checks(self, monkeypatch):
+        # A wrong span rank, Wall inertia with n+ and n- swapped, or a
+        # closed form one too small fails exactly these checks on a
+        # fibration with d = 2 < min(r, m) = 3, so a check made to pass
+        # always is caught here.  None of them fails
+        # betti-signature-identity or form-never-indefinite, which
+        # re-derive the report's own arithmetic from d.
+        fib = PlanarFibration(
+            PlanarSurface(5), [CurveClass.enclosing(s) for s in ({1, 2}, {3}, {1, 2})]
+        )
+        span = PlanarFibration.cycle_span_dim
+        inertia = wall.symmetric_signature
+        closed_form = PlanarFibration.signature_from_cycle_span
+        span_checks = {
+            "gram-psd-of-span-rank",
+            "quotient-dim-equals-cycle-span",
+            "span-formula-vs-wall-oracle",
+        }
+        faults = [
+            (PlanarFibration, "cycle_span_dim", lambda self: span(self) + 1, span_checks),
+            (
+                PlanarFibration,
+                "cycle_span_dim",
+                lambda self: self.m + 1,
+                span_checks | {"append-subadditivity", "sigma-nonpositive"},
+            ),
+            (
+                wall,
+                "symmetric_signature",
+                lambda S: (t := inertia(S))._replace(n_plus=t.n_minus, n_minus=t.n_plus),
+                {"correction-positive-definite", "span-formula-vs-wall-oracle"},
+            ),
+            (
+                PlanarFibration,
+                "signature_from_cycle_span",
+                lambda self: closed_form(self) - 1,
+                {"append-subadditivity"},
+            ),
+        ]
+
+        def failing():
+            results = check_fibration(fib, random.Random(0))
+            assert [c.name for c in results] == CHECK_NAMES
+            return {c.name for c in results if not c.passed}
+
+        assert failing() == set()
+        for owner, name, fault, expected in faults:
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, fault)
+                assert failing() == expected, name
 
     def test_wall_route_runs_once_per_instance(self, monkeypatch, capsys, feed_stdin):
         # The order and sign checks compare boundary maps, so neither the
