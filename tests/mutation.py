@@ -205,6 +205,29 @@ MUTANTS = [
            'raise DocumentError(f"{field}: {e}")',
            "raise DocumentError(str(e))",
            "test_cli.py"),
+    # The rank mod 2 that settles RationalMatrix.rank when it is full.  A
+    # mutant that settles fewer matrices only sends them to the exact
+    # elimination, so the gcd ceilings catch it.
+    mutant("rank-trusts-a-short-rank-mod-2", "linalg.py",
+           "        if parity_rank == min(self.n_rows, self.n_cols):",
+           "        if True:",
+           "test_rational_matrix.py"),
+    mutant("rank-mod-2-bound-is-the-larger-side", "linalg.py",
+           "        if parity_rank == min(self.n_rows, self.n_cols):",
+           "        if parity_rank == max(self.n_rows, self.n_cols):",
+           "test_cost.py"),
+    mutant("rank-mod-2-packs-nonzero-entries", "linalg.py",
+           "[1 << j for j, x in row.items() if x & 1]",
+           "[1 << j for j, x in row.items() if x]",
+           "test_rational_matrix.py"),
+    mutant("rank-mod-2-keyed-by-the-whole-row", "linalg.py",
+           "            top = bits.bit_length()",
+           "            top = bits",
+           "test_rational_matrix.py"),
+    mutant("rank-mod-2-drops-a-row-that-meets-the-basis", "linalg.py",
+           "            bits ^= basis[top]",
+           "            break",
+           "test_cost.py"),
     # Forward elimination (_eliminate and _clear).
     mutant("eliminate-buckets-a-row-at-the-limit", "linalg.py",
            "            if c < limit:",
